@@ -40,7 +40,7 @@ from .transforms import (
     ExplicitTable,
     IntPolynomial,
     Monomial,
-    minimal_multiplier,
+    _checked_multiplier,
     required_source_length,
     sample,
     scale,
@@ -240,8 +240,7 @@ def _cmd_scale(args: argparse.Namespace) -> int:
 def _cmd_multiplier(args: argparse.Namespace) -> int:
     a = _read_input(args.input)
     N = _horizon(a, args.terms)
-    mult = minimal_multiplier(a, N)
-    report = check_realizable(a, N)
+    report, mult = _checked_multiplier(a, N)
     if args.json:
         _write_output(seqio.dumps_doc(seqio.multiplier_doc(report, mult)), args.out)
     else:

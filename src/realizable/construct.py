@@ -116,10 +116,7 @@ def fix_count_sequence(ct: CycleType, N: int, label: str = "") -> Seq:
 
 def verify_realization(ct: CycleType, a: Seq, N: int) -> bool:
     """Does the cycle type reproduce a_n exactly for every n <= N?"""
-    if N < 1:
-        raise ValueError("need N >= 1")
-    if N > len(a):
-        raise ValueError(f"horizon N={N} exceeds the {len(a)}-term prefix")
+    a.require_horizon(N)
     return all(fixed_points(ct, n) == a[n] for n in range(1, N + 1))
 
 

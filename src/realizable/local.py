@@ -71,8 +71,7 @@ def support_primes(a: Seq, N: int) -> list[int]:
     >>> support_primes(Seq((1, 3, 4, 7, 11, 18)), 6)
     [2, 3, 7, 11]
     """
-    if N < 1:
-        raise ValueError("horizon N must be >= 1")
+    a.require_horizon(N)
     _reject_nonpositive(a, "support scan")
     primes: set[int] = set()
     for n in range(1, N + 1):

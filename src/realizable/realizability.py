@@ -9,15 +9,19 @@ is divisible by n (condition D) and non-negative (condition S); D_n(a)/n is
 then the number of length-n orbits.  A finite prefix can only be checked up
 to its horizon N, so a clean pass is reported as "consistent-up-to-N", never
 as "realizable": horizon checks refute, they do not prove.
+
+Prefix checks compute the whole table D_1(a), ..., D_N(a) at once, by
+Moebius inversion of a_n = sum of D_d over d | n one prime at a time;
+``dold_transform`` is the single-index form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from .numtheory import divisors, mobius
+from .numtheory import divisors, mobius, primes_upto
 from .sequences import InsufficientPrefixError, RatSeq, Seq
 
 __all__ = [
@@ -104,9 +108,9 @@ def orbit_counts(a: Seq, N: int) -> RatSeq:
     >>> [str(b) for b in orbit_counts(Seq((1, 1, 1, 1, 6)), 5)]
     ['1', '0', '0', '0', '1']
     """
-    _validate_horizon(a, N)
+    a.require_horizon(N)
     return RatSeq(
-        tuple(Fraction(dold_transform(a, n), n) for n in range(1, N + 1)),
+        tuple(Fraction(v, n) for n, v in enumerate(_dold_values(a, N), start=1)),
         label=f"orbits({a.label})" if a.label else "orbits",
     )
 
@@ -117,41 +121,25 @@ def check_realizable(a: Seq, N: int) -> RealizabilityReport:
     The prefix must be non-negative throughout (fixed-point counts cannot be
     negative; reject rather than guess what a signed input means).
     """
-    _validate_horizon(a, N)
+    a.require_horizon(N)
     _reject_negative_terms(a)
-    records = []
-    first_failure: tuple[int, str] | None = None
-    d_violated = s_violated = False
-    for n in range(1, N + 1):
-        value = dold_transform(a, n)
-        record = DoldRecord(
+    records = tuple(
+        DoldRecord(
             n=n,
             dold_value=value,
             dold_mod_n=value % n,
             sign_ok=value >= 0,
             divisibility_ok=value % n == 0,
         )
-        records.append(record)
-        d_violated = d_violated or not record.divisibility_ok
-        s_violated = s_violated or not record.sign_ok
-        if first_failure is None and not record.ok:
-            which = "both" if not record.sign_ok and not record.divisibility_ok else (
-                "D" if not record.divisibility_ok else "S"
-            )
-            first_failure = (n, which)
-    if d_violated and s_violated:
-        verdict = VERDICT_FAILS_BOTH
-    elif d_violated:
-        verdict = VERDICT_FAILS_D
-    elif s_violated:
-        verdict = VERDICT_FAILS_S
-    else:
-        verdict = VERDICT_CONSISTENT
+        for n, value in enumerate(_dold_values(a, N), start=1)
+    )
+    first = next((r for r in records if not r.ok), None)
+    # what fails at one index is the suffix of its own verdict: "D", "S" or "both"
+    first_failure = (
+        None if first is None else (first.n, _verdict((first,)).removeprefix("fails-"))
+    )
     return RealizabilityReport(
-        horizon=N,
-        records=tuple(records),
-        verdict=verdict,
-        first_failure=first_failure,
+        horizon=N, records=records, verdict=_verdict(records), first_failure=first_failure
     )
 
 
@@ -165,7 +153,7 @@ def divisibility_check(a: Seq, N: int) -> DivisibilityResult:
     >>> divisibility_check(Seq((1, 3, 4, 7, 11, 18)), 6)
     DivisibilityResult(ok=False, first_failure=(2, 4))
     """
-    _validate_horizon(a, N)
+    a.require_horizon(N)
     for n in range(1, N + 1):
         if a[n] == 0:
             raise ValueError(f"divisibility check needs nonzero terms; a_{n} = 0")
@@ -176,13 +164,30 @@ def divisibility_check(a: Seq, N: int) -> DivisibilityResult:
     return DivisibilityResult(True, None)
 
 
-def _validate_horizon(a: Seq, N: int) -> None:
-    if N < 1:
-        raise ValueError("horizon N must be >= 1")
-    if N > len(a):
-        raise InsufficientPrefixError(
-            f"horizon N={N} exceeds the {len(a)}-term prefix", required=N
-        )
+def _dold_values(a: Seq, N: int) -> list[int]:
+    """[D_1(a), ..., D_N(a)] in O(N log log N) subtractions, no factoring.
+
+    a_n is the sum of D_d over d | n; removing each prime p in turn
+    (b_m -= b_{m/p} for p | m, largest m first) inverts that sum.
+    """
+    b = [0, *a.terms[:N]]
+    for p in primes_upto(N):
+        for m in range(N - N % p, p - 1, -p):
+            b[m] -= b[m // p]
+    return b[1:]
+
+
+def _verdict(records: Sequence[DoldRecord]) -> str:
+    """Aggregate verdict: which of conditions (D) and (S) fail somewhere."""
+    d_violated = any(not r.divisibility_ok for r in records)
+    s_violated = any(not r.sign_ok for r in records)
+    if d_violated and s_violated:
+        return VERDICT_FAILS_BOTH
+    if d_violated:
+        return VERDICT_FAILS_D
+    if s_violated:
+        return VERDICT_FAILS_S
+    return VERDICT_CONSISTENT
 
 
 def _reject_negative_terms(a: Seq) -> None:

@@ -16,7 +16,7 @@ from typing import Any
 
 from .construct import CycleType
 from .local import LocalReport
-from .realizability import RealizabilityReport
+from .realizability import RealizabilityReport, _verdict
 from .sequences import RatSeq, Seq
 from .transforms import MultiplierReport
 
@@ -111,17 +111,9 @@ def local_doc(horizon: int, reports: list[LocalReport]) -> dict[str, Any]:
     prime is.  Primes outside the listed support are trivially consistent
     (all-ones p-part) and get no entry.
     """
-    if all(r.consistent for r in reports):
-        verdict = "consistent-up-to-N"
-    else:
-        d = any(
-            not rec.divisibility_ok for r in reports for rec in r.report.records
-        )
-        s = any(not rec.sign_ok for r in reports for rec in r.report.records)
-        verdict = "fails-both" if d and s else ("fails-D" if d else "fails-S")
     return {
         "horizon": horizon,
-        "verdict": verdict,
+        "verdict": _verdict([rec for r in reports for rec in r.report.records]),
         "first_failure": None,
         "records": [],
         "local_reports": [

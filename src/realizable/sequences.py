@@ -46,8 +46,40 @@ class InsufficientPrefixError(ValueError):
         self.required = required
 
 
+class _Prefix:
+    """Shared 1-indexed access for Seq and RatSeq; subclasses hold ``terms``."""
+
+    terms: tuple
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+    def __getitem__(self, n: int):
+        """a_n for 1 <= n <= len(self); there is no a_0."""
+        if not isinstance(n, int) or n < 1:
+            raise IndexError(f"sequence indices start at 1, got {n!r}")
+        if n > len(self.terms):
+            raise InsufficientPrefixError(
+                f"term a_{n} requested but prefix has only {len(self.terms)} terms",
+                required=n,
+            )
+        return self.terms[n - 1]
+
+    def __iter__(self) -> Iterator:
+        return iter(self.terms)
+
+    def require_horizon(self, N: int) -> None:
+        """Reject a horizon N the prefix cannot answer for: N < 1 or N > len."""
+        if N < 1:
+            raise ValueError("horizon N must be >= 1")
+        if N > len(self.terms):
+            raise InsufficientPrefixError(
+                f"horizon N={N} exceeds the {len(self.terms)}-term prefix", required=N
+            )
+
+
 @dataclass(frozen=True)
-class Seq:
+class Seq(_Prefix):
     """Finite prefix (a_1, ..., a_N) of an integer sequence, 1-indexed."""
 
     terms: tuple[int, ...]
@@ -62,26 +94,9 @@ class Seq:
                 raise TypeError(f"terms must be ints, got {type(t).__name__}")
         object.__setattr__(self, "terms", terms)
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __getitem__(self, n: int) -> int:
-        """a_n for 1 <= n <= len(self); there is no a_0."""
-        if not isinstance(n, int) or n < 1:
-            raise IndexError(f"sequence indices start at 1, got {n!r}")
-        if n > len(self.terms):
-            raise InsufficientPrefixError(
-                f"term a_{n} requested but prefix has only {len(self.terms)} terms",
-                required=n,
-            )
-        return self.terms[n - 1]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.terms)
-
 
 @dataclass(frozen=True)
-class RatSeq:
+class RatSeq(_Prefix):
     """Finite 1-indexed prefix of exact rationals (Fractions auto-reduce)."""
 
     terms: tuple[Fraction, ...]
@@ -91,22 +106,6 @@ class RatSeq:
         object.__setattr__(self, "terms", tuple(Fraction(t) for t in self.terms))
         if not self.terms:
             raise ValueError("a sequence prefix needs at least one term")
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __getitem__(self, n: int) -> Fraction:
-        if not isinstance(n, int) or n < 1:
-            raise IndexError(f"sequence indices start at 1, got {n!r}")
-        if n > len(self.terms):
-            raise InsufficientPrefixError(
-                f"term {n} requested but prefix has only {len(self.terms)} terms",
-                required=n,
-            )
-        return self.terms[n - 1]
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.terms)
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,11 @@ the whole content of "almost realizable", made effective here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
-from typing import Union
+from math import gcd, lcm
+from typing import Sequence, Union
 
 from .numtheory import factorize
-from .realizability import RealizabilityReport, check_realizable, dold_transform
+from .realizability import RealizabilityReport, _dold_values, check_realizable
 from .sequences import (
     InsufficientPrefixError,
     LinearRecurrence,
@@ -156,15 +155,7 @@ def term_power(a: Seq, h: IntPolynomial, N: int) -> Seq:
     Terms must be non-negative (the inputs of interest are fixed-point
     counts); exponents h(n) are >= 0 by the coefficient invariant.
     """
-    if N < 1:
-        raise ValueError("need N >= 1")
-    if N > len(a):
-        raise InsufficientPrefixError(
-            f"horizon N={N} exceeds the {len(a)}-term prefix", required=N
-        )
-    for n in range(1, N + 1):
-        if a[n] < 0:
-            raise ValueError(f"termwise powers need a_n >= 0; a_{n} = {a[n]}")
+    _require_nonnegative(a, N, "termwise powers need")
     return Seq(
         tuple(a[n] ** h(n) for n in range(1, N + 1)),
         label=f"{a.label}^h" if a.label else "",
@@ -188,31 +179,8 @@ def minimal_multiplier(a: Seq, N: int) -> MultiplierReport:
     the transform is linear: D_n(C a) = C D_n(a).  Negative terms are
     rejected just like in the checker.
     """
-    if N < 1:
-        raise ValueError("need N >= 1")
-    if N > len(a):
-        raise InsufficientPrefixError(
-            f"horizon N={N} exceeds the {len(a)}-term prefix", required=N
-        )
-    for n in range(1, N + 1):
-        if a[n] < 0:
-            raise ValueError(f"multiplier analysis needs a_n >= 0; a_{n} = {a[n]}")
-    denominators = []
-    sign_ok = True
-    multiplier = 1
-    for n in range(1, N + 1):
-        value = dold_transform(a, n)
-        if value < 0:
-            sign_ok = False
-        den = Fraction(value, n).denominator
-        denominators.append(den)
-        multiplier = lcm(multiplier, den)
-    return MultiplierReport(
-        horizon=N,
-        multiplier=multiplier,
-        sign_ok=sign_ok,
-        denominators=tuple(denominators),
-    )
+    _require_nonnegative(a, N, "multiplier analysis needs")
+    return _multiplier_report(_dold_values(a, N))
 
 
 def denominator_prime_scan(a: Seq, N: int) -> set[int]:
@@ -295,3 +263,29 @@ def luca_ward_check(
         raise ValueError("need N >= 1")
     terms = tuple(M * linear_recurrence_term(rec, n**s) for n in range(1, N + 1))
     return check_realizable(Seq(terms, label=f"{M}*u[n^{s}]"), N)
+
+
+def _checked_multiplier(a: Seq, N: int) -> tuple[RealizabilityReport, MultiplierReport]:
+    """check_realizable(a, N) and minimal_multiplier(a, N) from one Dold table."""
+    _require_nonnegative(a, N, "multiplier analysis needs")
+    report = check_realizable(a, N)
+    return report, _multiplier_report([r.dold_value for r in report.records])
+
+
+def _multiplier_report(dold: Sequence[int]) -> MultiplierReport:
+    """Multiplier analysis of D_1(a), ..., D_N(a): the reduced denominator of
+    D_n/n is n / gcd(D_n, n)."""
+    denominators = tuple(n // gcd(v, n) for n, v in enumerate(dold, start=1))
+    return MultiplierReport(
+        horizon=len(denominators),
+        multiplier=lcm(*denominators),
+        sign_ok=all(v >= 0 for v in dold),
+        denominators=denominators,
+    )
+
+
+def _require_nonnegative(a: Seq, N: int, what: str) -> None:
+    a.require_horizon(N)
+    for n in range(1, N + 1):
+        if a[n] < 0:
+            raise ValueError(f"{what} a_n >= 0; a_{n} = {a[n]}")

@@ -1,8 +1,11 @@
 import io
 import json
+import os
 import subprocess
 import sys
 
+import realizable
+from realizable import realizability
 from realizable.cli import main
 from realizable.seqio import dumps_doc, parse_bfile
 from realizable.sequences import fibonacci_like
@@ -178,6 +181,14 @@ def test_local_rejects_composite_prime(capsys, monkeypatch):
     assert "not prime" in err
 
 
+def test_local_all_past_the_prefix_names_the_horizon(capsys, monkeypatch):
+    code, out, err = run_cli(
+        ["local", "--all", "--terms", "99"], capsys, monkeypatch, stdin_text=EQ_CYCLE10
+    )
+    assert (code, out) == (2, "")
+    assert "99" in err
+
+
 def test_local_requires_a_mode(capsys, monkeypatch):
     code, _, _ = run_cli(["local"], capsys, monkeypatch, stdin_text=EQ_CYCLE10)
     assert code == 2
@@ -290,6 +301,22 @@ def test_multiplier_json(capsys, monkeypatch):
     assert doc["multiplier"]["sign_ok"] is True
 
 
+def test_multiplier_json_computes_the_dold_table_once(capsys, monkeypatch):
+    kernel = realizability._dold_values
+    calls = []
+
+    def counting(a, N):
+        calls.append(N)
+        return kernel(a, N)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("realizable") and hasattr(module, "_dold_values"):
+            monkeypatch.setattr(module, "_dold_values", counting)
+    code, _, _ = run_cli(["multiplier", "--json"], capsys, monkeypatch, stdin_text=FIB10)
+    assert code == 1
+    assert calls == [10]
+
+
 # ---------------------------------------------------------------- realize
 
 
@@ -356,11 +383,15 @@ def test_usage_errors_exit_two(capsys, monkeypatch):
 
 
 def test_module_entry_point_runs_in_a_subprocess():
+    # the child imports the same package this process did, installed or not
+    src = os.path.dirname(os.path.dirname(realizable.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "realizable", "irregular", "--upto", "60"],
         capture_output=True,
         text=True,
         timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == "37 59\n"

@@ -11,7 +11,7 @@ from realizable.construct import (
     realize_cycle_type,
     verify_realization,
 )
-from realizable.sequences import Seq, fibonacci_like
+from realizable.sequences import InsufficientPrefixError, Seq, fibonacci_like
 
 from helpers import cycle_lengths_of, permutation_power_fixed_counts
 
@@ -92,6 +92,12 @@ def test_realize_rejects_inconsistent_prefixes():
 
 def test_verify_realization_detects_mismatch():
     assert not verify_realization(CycleType({1: 2}), Seq((2, 3)), 2)
+
+
+def test_verify_realization_on_a_short_prefix_names_the_horizon():
+    with pytest.raises(InsufficientPrefixError) as err:
+        verify_realization(EQ_CYCLE_TYPE, Seq((1, 1, 1)), 5)
+    assert err.value.required == 5
 
 
 # ---------------------------------------------------- explicit permutation

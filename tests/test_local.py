@@ -9,7 +9,7 @@ from realizable.local import (
     p_part,
     support_primes,
 )
-from realizable.sequences import Seq, fibonacci_like
+from realizable.sequences import InsufficientPrefixError, Seq, fibonacci_like
 
 # fixed-point counts of the permutation (1 2 3 4 5)(6): the showcase for
 # a sequence that passes globally yet fails at single primes
@@ -41,6 +41,12 @@ def test_support_primes():
     assert support_primes(Seq((4, 9, 10)), 3) == [2, 3, 5]
     # horizon matters: the 10 only enters at N=3
     assert support_primes(Seq((4, 9, 10)), 2) == [2, 3]
+
+
+def test_support_primes_past_the_prefix_names_the_horizon():
+    with pytest.raises(InsufficientPrefixError) as err:
+        support_primes(Seq((2, 3, 4)), 6)
+    assert err.value.required == 6
 
 
 def test_eq_cycle_fails_locally_at_two_and_three():

@@ -15,6 +15,7 @@ from realizable.realizability import (
     orbit_counts,
 )
 from realizable.sequences import InsufficientPrefixError, Seq, fibonacci_like
+from realizable.transforms import minimal_multiplier
 
 from helpers import naive_dold
 
@@ -55,6 +56,48 @@ def test_dold_validates_input():
         dold_transform(a, 0)
     with pytest.raises(InsufficientPrefixError):
         dold_transform(a, 4)
+
+
+# --------------------------------------------- the Dold table, all views
+
+signed_terms = st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=1, max_size=80)
+counts_terms = st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=80)
+
+
+@given(counts_terms, st.data())
+def test_check_realizable_records_match_the_definition(terms, data):
+    N = data.draw(st.integers(min_value=1, max_value=len(terms)))
+    report = check_realizable(Seq(tuple(terms)), N)
+    assert [r.n for r in report.records] == list(range(1, N + 1))
+    assert [r.dold_value for r in report.records] == [
+        naive_dold(terms, n) for n in range(1, N + 1)
+    ]
+
+
+@given(signed_terms, st.data())
+def test_orbit_counts_match_the_definition_on_signed_terms(terms, data):
+    N = data.draw(st.integers(min_value=1, max_value=len(terms)))
+    assert list(orbit_counts(Seq(tuple(terms)), N)) == [
+        Fraction(naive_dold(terms, n), n) for n in range(1, N + 1)
+    ]
+
+
+@given(counts_terms, st.data())
+def test_multiplier_denominators_match_the_definition(terms, data):
+    N = data.draw(st.integers(min_value=1, max_value=len(terms)))
+    report = minimal_multiplier(Seq(tuple(terms)), N)
+    assert list(report.denominators) == [
+        Fraction(naive_dold(terms, n), n).denominator for n in range(1, N + 1)
+    ]
+    assert report.sign_ok == all(naive_dold(terms, n) >= 0 for n in range(1, N + 1))
+
+
+def test_dold_table_matches_the_single_index_form_on_a_long_prefix():
+    lucas = fibonacci_like(3, 2000)
+    report = check_realizable(lucas, 2000)
+    for n, record in enumerate(report.records, start=1):
+        assert record.dold_value == dold_transform(lucas, n), n
+    assert report.consistent
 
 
 # ----------------------------------------------------------- orbit counts

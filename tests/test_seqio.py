@@ -108,6 +108,19 @@ def test_local_doc_aggregates_verdicts():
     assert good["verdict"] == "consistent-up-to-N"
 
 
+def test_local_doc_aggregates_sign_and_mixed_failures():
+    doc = local_doc(2, check_everywhere_local(Seq((3, 1)), 2))
+    assert doc["verdict"] == "fails-S"
+    assert [(r["prime"], r["verdict"]) for r in doc["local_reports"]] == [(3, "fails-S")]
+
+    doc = local_doc(3, check_everywhere_local(Seq((2, 1, 3)), 3))
+    assert doc["verdict"] == "fails-both"
+    assert [(r["prime"], r["verdict"]) for r in doc["local_reports"]] == [
+        (2, "fails-both"),
+        (3, "fails-D"),
+    ]
+
+
 def test_multiplier_doc_extends_the_report():
     a = Seq((1, 1, 2, 3, 5))
     doc = multiplier_doc(check_realizable(a, 5), minimal_multiplier(a, 5))
