@@ -71,12 +71,14 @@ def _write_output(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _horizon(a: Seq, terms: int | None) -> int:
-    if terms is None:
-        return len(a)
+def _positive_terms(terms: int) -> int:
     if terms < 1:
         raise ValueError("--terms must be >= 1")
     return terms
+
+
+def _horizon(a: Seq, terms: int | None) -> int:
+    return len(a) if terms is None else _positive_terms(terms)
 
 
 def _csv_ints(text: str, what: str) -> tuple[int, ...]:
@@ -97,26 +99,42 @@ def _describe_failure(first_failure: tuple[int, str] | None) -> str:
 # ------------------------------------------------------------ subcommands
 
 
+def _linrec_terms(args: argparse.Namespace, N: int) -> Seq:
+    rec = LinearRecurrence(
+        _csv_ints(args.coeffs, "--coeffs"), _csv_ints(args.init, "--init")
+    )
+    return linear_recurrence_terms(rec, N)
+
+
+# gen families in help order: name -> (add the family's arguments, build N terms)
+_GEN_FAMILIES = {
+    "fiblike": (
+        lambda p: p.add_argument("c", type=int, help="second term"),
+        lambda args, N: fibonacci_like(args.c, N),
+    ),
+    "linrec": (
+        lambda p: (
+            p.add_argument("--coeffs", required=True, help="a_1,...,a_k"),
+            p.add_argument("--init", required=True, help="u_1,...,u_k"),
+        ),
+        _linrec_terms,
+    ),
+    "stirling": (
+        lambda p: (
+            p.add_argument("kind", type=int, choices=(1, 2)),
+            p.add_argument("k", type=int, help="column index k >= 1"),
+        ),
+        lambda args, N: stirling_row_sequence(args.kind, args.k, N),
+    ),
+    "euler": (lambda p: None, lambda args, N: euler_abs_sequence(N)),
+    "bernoulli-tau": (lambda p: None, lambda args, N: tau_beta_sequences(N)[0]),
+    "bernoulli-beta": (lambda p: None, lambda args, N: tau_beta_sequences(N)[1]),
+}
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
-    N = args.terms
-    if N < 1:
-        raise ValueError("--terms must be >= 1")
-    family = args.family
-    if family == "fiblike":
-        a = fibonacci_like(args.c, N)
-    elif family == "linrec":
-        rec = LinearRecurrence(
-            _csv_ints(args.coeffs, "--coeffs"), _csv_ints(args.init, "--init")
-        )
-        a = linear_recurrence_terms(rec, N)
-    elif family == "stirling":
-        a = stirling_row_sequence(args.kind, args.k, N)
-    elif family == "euler":
-        a = euler_abs_sequence(N)
-    elif family == "bernoulli-tau":
-        a = tau_beta_sequences(N)[0]
-    else:  # bernoulli-beta
-        a = tau_beta_sequences(N)[1]
+    build = _GEN_FAMILIES[args.family][1]
+    a = build(args, _positive_terms(args.terms))
     _write_output(seqio.format_bfile(a), args.out)
     return 0
 
@@ -198,9 +216,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         with open(args.table, "r", encoding="ascii") as fh:
             h = ExplicitTable(seqio.parse_bfile(fh.read()).terms)
     if args.terms is not None:
-        N = args.terms
-        if N < 1:
-            raise ValueError("--terms must be >= 1")
+        N = _positive_terms(args.terms)
     else:
         N = _default_sample_horizon(h, len(a))
     _write_output(seqio.format_bfile(sample(a, h, N)), args.out)
@@ -310,26 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a named sequence family as a b-file")
     genfam = gen.add_subparsers(dest="family", required=True, metavar="FAMILY")
-    for name, configure in (
-        ("fiblike", lambda p: p.add_argument("c", type=int, help="second term")),
-        (
-            "linrec",
-            lambda p: (
-                p.add_argument("--coeffs", required=True, help="a_1,...,a_k"),
-                p.add_argument("--init", required=True, help="u_1,...,u_k"),
-            ),
-        ),
-        (
-            "stirling",
-            lambda p: (
-                p.add_argument("kind", type=int, choices=(1, 2)),
-                p.add_argument("k", type=int, help="column index k >= 1"),
-            ),
-        ),
-        ("euler", lambda p: None),
-        ("bernoulli-tau", lambda p: None),
-        ("bernoulli-beta", lambda p: None),
-    ):
+    for name, (configure, _) in _GEN_FAMILIES.items():
         fam = genfam.add_parser(name)
         configure(fam)
         fam.add_argument("--terms", type=int, required=True, metavar="N")

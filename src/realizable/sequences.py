@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Iterator
 
 from .numtheory import primes_upto
@@ -197,12 +196,9 @@ def fibonacci_like(c: int, N: int) -> Seq:
     >>> fibonacci_like(3, 6).terms
     (1, 3, 4, 7, 11, 18)
     """
-    if N < 1:
-        raise ValueError("need N >= 1")
-    terms = [1, c]
-    while len(terms) < N:
-        terms.append(terms[-1] + terms[-2])
-    return Seq(tuple(terms[:N]), label=f"fiblike({c})")
+    return linear_recurrence_terms(
+        LinearRecurrence((1, 1), (1, c)), N, label=f"fiblike({c})"
+    )
 
 
 def _stirling_column(kind: int, k: int, rows: int) -> list[int]:
@@ -268,6 +264,21 @@ def stirling_row_sequence(kind: int, k: int, N: int) -> Seq:
     return Seq(tuple(column[k : N + k]), label=f"stirling{kind}(k={k})")
 
 
+def _zigzag(M: int) -> list[int]:
+    """Zigzag numbers z_0..z_M (A000111): secants at even indices, tangents at
+    odd ones.  Seidel boustrophedon on one row kept in place: each row is the
+    running sum, from 0, of the previous row read in reverse; z_n ends row n."""
+    row = [1]
+    out = [1]
+    for _ in range(M):
+        row.append(0)
+        row.reverse()
+        for k in range(1, len(row)):
+            row[k] += row[k - 1]
+        out.append(row[-1])
+    return out
+
+
 def euler_abs_sequence(N: int) -> Seq:
     """(|E_2|, |E_4|, ..., |E_{2N}|): absolute zigzag (secant) numbers.
 
@@ -279,17 +290,14 @@ def euler_abs_sequence(N: int) -> Seq:
     """
     if N < 1:
         raise ValueError("need N >= 1")
-    evens = [1]  # E_0
-    for t in range(1, N + 1):
-        evens.append(-sum(comb(2 * t, 2 * j) * evens[j] for j in range(t)))
-    return Seq(tuple(abs(e) for e in evens[1:]), label="|E_2n|")
+    return Seq(tuple(_zigzag(2 * N)[2::2]), label="|E_2n|")
 
 
 def bernoulli_numbers(M: int) -> list[Fraction]:
     """Exact B_0, ..., B_M as a 0-indexed list, with the B_1 = -1/2 convention.
 
-    Odd indices above 1 are zero; even entries come from the binomial
-    recurrence sum(C(m+1, r) B_r, r=0..m) = 0 restricted to even r.
+    Odd indices above 1 are zero; the even entries come from the tangent
+    numbers T_n = z_{2n-1} as B_{2n} = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)).
 
     >>> bernoulli_numbers(4)[2:]
     [Fraction(1, 6), Fraction(0, 1), Fraction(-1, 30)]
@@ -300,13 +308,10 @@ def bernoulli_numbers(M: int) -> list[Fraction]:
     out[0] = Fraction(1)
     if M >= 1:
         out[1] = Fraction(-1, 2)
-    evens = [Fraction(1)]
-    for t in range(1, M // 2 + 1):
-        m = 2 * t
-        s = sum(comb(m + 1, 2 * j) * evens[j] for j in range(t))
-        b = (Fraction(m + 1, 2) - s) / (m + 1)
-        evens.append(b)
-        out[m] = b
+    z = _zigzag(max(M - 1, 0))
+    for n in range(1, M // 2 + 1):
+        q = 4**n
+        out[2 * n] = Fraction((-1) ** (n - 1) * 2 * n * z[2 * n - 1], q * (q - 1))
     return out
 
 

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import realizable
 from realizable import realizability
 from realizable.cli import main
@@ -67,6 +69,14 @@ def test_gen_rejects_bad_terms(capsys, monkeypatch):
     code, _, err = run_cli(["gen", "fiblike", "3", "--terms", "0"], capsys, monkeypatch)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv", [["sample", "--monomial", "2", "--terms", "0"], ["check", "--terms", "0"]]
+)
+def test_terms_below_one_is_a_usage_error(argv, capsys, monkeypatch):
+    code, _, err = run_cli(argv, capsys, monkeypatch, stdin_text=LUCAS10)
+    assert (code, err) == (2, "error: --terms must be >= 1\n")
 
 
 # ------------------------------------------------------------------ check

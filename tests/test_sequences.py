@@ -134,6 +134,8 @@ def test_fibonacci_like_families():
     assert fibonacci_like(1, 6).terms == (1, 1, 2, 3, 5, 8)
     assert fibonacci_like(3, 10).terms == (1, 3, 4, 7, 11, 18, 29, 47, 76, 123)
     assert fibonacci_like(4, 5).terms == (1, 4, 5, 9, 14)
+    assert fibonacci_like(0, 1) == Seq((1,), label="fiblike(0)")
+    assert fibonacci_like(-2, 4).terms == (1, -2, -1, -3)
     with pytest.raises(ValueError):
         fibonacci_like(1, 0)
 
@@ -195,9 +197,9 @@ def test_stirling_row_sequence_is_a_diagonal():
 
 def test_euler_matches_series_reciprocal():
     # coefficient of t^{2n} in sech(t), scaled by (2n)!, up to sign
-    sech = sech_series_coefficients(24)
-    want = tuple(abs(sech[2 * n] * factorial(2 * n)) for n in range(1, 13))
-    assert euler_abs_sequence(12).terms == want
+    sech = sech_series_coefficients(120)
+    want = tuple(abs(sech[2 * n] * factorial(2 * n)) for n in range(1, 61))
+    assert euler_abs_sequence(60).terms == want
 
 
 def test_euler_known_values():
@@ -205,7 +207,8 @@ def test_euler_known_values():
 
 
 def test_bernoulli_matches_series_reciprocal():
-    assert bernoulli_numbers(30) == bernoulli_by_series(30)
+    for M in (0, 1, 2, 3, 120):
+        assert bernoulli_numbers(M) == bernoulli_by_series(M), M
 
 
 def test_bernoulli_known_values():
@@ -249,6 +252,12 @@ def test_irregular_primes_tables():
     assert irregular_primes(36) == []
     assert irregular_primes(60) == [37, 59]
     assert irregular_primes(110) == [37, 59, 67, 101, 103]
+    # OEIS A000928 up to 600
+    assert irregular_primes(600) == [
+        37, 59, 67, 101, 103, 131, 149, 157, 233, 257, 263, 271, 283, 293, 307,
+        311, 347, 353, 379, 389, 401, 409, 421, 433, 461, 463, 467, 491, 523,
+        541, 547, 557, 577, 587, 593,
+    ]
     with pytest.raises(ValueError):
         irregular_primes(4)
 
