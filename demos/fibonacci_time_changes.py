@@ -27,7 +27,7 @@ print("unscaled verdict:  ", check_realizable(squares, 30).verdict)
 print("scaled by 5:       ", check_realizable(scale(squares, 5), 30).verdict)
 
 # fourth powers, same story; indices reach 20736 so terms are computed
-# one by one from the companion matrix instead of materializing a prefix
+# one by one by fibonacci_term instead of materializing a prefix
 quartics = Seq(tuple(fibonacci_term(n**4) for n in range(1, 13)))
 print("F_{n^4} multiplier up to N=12:", minimal_multiplier(quartics, 12).multiplier)
 

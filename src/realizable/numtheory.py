@@ -22,8 +22,10 @@ __all__ = [
 # trial division covers everything below this bound before Pollard rho kicks in
 _TRIAL_BOUND = 1 << 16
 
-# deterministic Miller-Rabin witness set, valid for n < 3.317e24
+# Miller-Rabin on these bases is exact below _MR_BOUND, the least strong
+# pseudoprime to all of them (Sorenson & Webster, Math. Comp. 2017)
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 3317044064679887385961981
 
 
 @lru_cache(maxsize=64)
@@ -48,17 +50,28 @@ def primes_upto(bound: int) -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact for n < 3.3e24, far beyond any use here)."""
+    """Exact below 3.317e24 (Miller-Rabin on the first 12 prime bases); at or
+    above it, Baillie-PSW: a strong base-2 test and a strong Lucas test, which
+    no composite is known to pass (Baillie & Wagstaff, Math. Comp. 1980)."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
+    if n < _MR_BOUND:
+        return _strong_probable_prime(n, _MR_WITNESSES)
+    return _strong_probable_prime(n, (2,)) and _strong_lucas_probable_prime(n)
+
+
+def _strong_probable_prime(n: int, bases: tuple[int, ...]) -> bool:
+    """Miller-Rabin for odd n prime to every base: with n - 1 = d 2^r and d
+    odd, n passes base a if a^d = 1 or a^(d 2^i) = -1 (mod n) for some i < r;
+    True if it passes them all."""
     d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -69,6 +82,55 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test for odd n > 1 with Selfridge's parameters: the first
+    D in 5, -7, 9, -11, ... with (D/n) = -1, P = 1, Q = (1 - D)/4.  With
+    n + 1 = d 2^s and d odd, n passes if U_d = 0 or V_(d 2^i) = 0 (mod n)
+    for some i < s."""
+    if isqrt(n) ** 2 == n:  # no such D exists for a square
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return n == abs(D)
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    half = (n + 1) // 2  # the inverse of 2 mod n
+    U, V, Qk = 1, 1, Q % n  # U_1, V_1, Q^1
+    for bit in format(d, "b")[1:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = (U + V) * half % n, (D * U + V) * half % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def _rho_split(n: int) -> int:

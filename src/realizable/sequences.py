@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterator
 
 from .numtheory import primes_upto
@@ -139,48 +140,49 @@ FIBONACCI = LinearRecurrence((1, 1), (1, 1))
 
 
 def linear_recurrence_terms(rec: LinearRecurrence, N: int, label: str = "") -> Seq:
-    """First N terms of the recurrence, by direct iteration."""
+    """First N terms of the recurrence, by direct iteration.
+
+    Only the nonzero a_i enter each sum, and a unit a_i adds u_(n-i) as it
+    is, so no big term is copied by 0 + t or 1 * t."""
     if N < 1:
         raise ValueError("need N >= 1")
-    k = rec.order
     terms = list(rec.initial[:N])
+    (i0, a0), *lags = [(-i, a) for i, a in enumerate(rec.coefficients, 1) if a]
     while len(terms) < N:
-        terms.append(
-            sum(c * t for c, t in zip(rec.coefficients, terms[-1 : -k - 1 : -1]))
-        )
+        u = terms[i0] if a0 == 1 else a0 * terms[i0]
+        for i, a in lags:
+            u += terms[i] if a == 1 else a * terms[i]
+        terms.append(u)
     return Seq(tuple(terms), label=label)
 
 
-def _mat_mul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
-    k = len(A)
-    return [
-        [sum(A[i][t] * B[t][j] for t in range(k)) for j in range(k)] for i in range(k)
-    ]
-
-
 def linear_recurrence_term(rec: LinearRecurrence, m: int) -> int:
-    """u_m alone, by companion-matrix powering: O(k^3 log m) exact products.
+    """u_m alone, from r(x) = x^(m-1) mod P(x) = x^k - a_1 x^(k-1) - ... - a_k:
+    u_m = r_0 u_1 + ... + r_(k-1) u_k (Fiduccia, SIAM J. Comput. 1985).
 
-    Use this for huge isolated indices (sampling along n^j) where iterating
-    to m would materialize millions of large terms.
+    Left-to-right binary powering squares r at each bit of m - 1 (k(k+1)/2
+    exact products), shifted up by one on a set bit to multiply by x, then
+    folds each coefficient above x^(k-1) back with the small a_i.  Use this
+    for huge isolated indices (sampling along n^j) where iterating to m would
+    materialize millions of large terms.
     """
     if m < 1:
         raise ValueError("need m >= 1")
     k = rec.order
-    if m <= k:
-        return rec.initial[m - 1]
-    companion = [list(rec.coefficients)] + [
-        [1 if j == i else 0 for j in range(k)] for i in range(k - 1)
-    ]
-    power = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    e = m - k
-    while e:
-        if e & 1:
-            power = _mat_mul(power, companion)
-        companion = _mat_mul(companion, companion)
-        e >>= 1
-    # state vector (u_k, ..., u_1); u_m is the top entry of power @ state
-    return sum(power[0][j] * rec.initial[k - 1 - j] for j in range(k))
+    r = [1] + [0] * (k - 1)
+    for bit in format(m - 1, "b"):
+        shift = int(bit)
+        p = [0] * (2 * k - 1 + shift)
+        for i, ri in enumerate(r):
+            p[2 * i + shift] += ri * ri
+            for j in range(i + 1, k):
+                p[i + j + shift] += ri * r[j] << 1
+        while len(p) > k:  # x^d = x^(d-k) (a_1 x^(k-1) + ... + a_k)
+            top = p.pop()
+            for i, a in enumerate(rec.coefficients, 1):
+                p[len(p) - i] += a * top
+        r = p
+    return sum(c * u for c, u in zip(r, rec.initial))
 
 
 def fibonacci_term(m: int) -> int:
@@ -264,19 +266,19 @@ def stirling_row_sequence(kind: int, k: int, N: int) -> Seq:
     return Seq(tuple(column[k : N + k]), label=f"stirling{kind}(k={k})")
 
 
-def _zigzag(M: int) -> list[int]:
-    """Zigzag numbers z_0..z_M (A000111): secants at even indices, tangents at
-    odd ones.  Seidel boustrophedon on one row kept in place: each row is the
-    running sum, from 0, of the previous row read in reverse; z_n ends row n."""
+def _zigzag(M: int) -> Iterator[int]:
+    """Yield the zigzag numbers z_0..z_M (A000111): secants at even indices,
+    tangents at odd ones, so each caller keeps only the parity it reads.
+    Seidel boustrophedon on one row kept in place: each row is the running
+    sum, from 0, of the previous row read in reverse; z_n ends row n."""
     row = [1]
-    out = [1]
+    yield 1
     for _ in range(M):
         row.append(0)
         row.reverse()
         for k in range(1, len(row)):
             row[k] += row[k - 1]
-        out.append(row[-1])
-    return out
+        yield row[-1]
 
 
 def euler_abs_sequence(N: int) -> Seq:
@@ -290,7 +292,7 @@ def euler_abs_sequence(N: int) -> Seq:
     """
     if N < 1:
         raise ValueError("need N >= 1")
-    return Seq(tuple(_zigzag(2 * N)[2::2]), label="|E_2n|")
+    return Seq(tuple(islice(_zigzag(2 * N), 2, None, 2)), label="|E_2n|")
 
 
 def bernoulli_numbers(M: int) -> list[Fraction]:
@@ -308,10 +310,10 @@ def bernoulli_numbers(M: int) -> list[Fraction]:
     out[0] = Fraction(1)
     if M >= 1:
         out[1] = Fraction(-1, 2)
-    z = _zigzag(max(M - 1, 0))
-    for n in range(1, M // 2 + 1):
+    tangents = islice(_zigzag(max(M - 1, 0)), 1, None, 2)
+    for n, t in enumerate(tangents, start=1):
         q = 4**n
-        out[2 * n] = Fraction((-1) ** (n - 1) * 2 * n * z[2 * n - 1], q * (q - 1))
+        out[2 * n] = Fraction((-1) ** (n - 1) * 2 * n * t, q * (q - 1))
     return out
 
 

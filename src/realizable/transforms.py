@@ -249,8 +249,8 @@ def luca_ward_check(
 ) -> RealizabilityReport:
     """Horizon check of the scaled, power-sampled recurrence (M u_{n^s}).
 
-    Terms at the huge indices n^s come from companion-matrix powering, so no
-    n^s-term prefix is ever materialized.  With M a multiple of
+    Terms at the huge indices n^s come one by one from linear_recurrence_term,
+    so no n^s-term prefix is ever materialized.  With M a multiple of
     lcm(|field discriminant|, |polynomial discriminant|) and s a multiple of
     the Galois exponent at least the group order, condition (D) is a theorem;
     condition (S) can still fail and is reported as data.

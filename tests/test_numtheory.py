@@ -3,6 +3,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from realizable.numtheory import (
+    _strong_lucas_probable_prime,
+    _strong_probable_prime,
     divisors,
     factorize,
     is_prime,
@@ -45,6 +47,33 @@ def test_is_prime_large_known_values():
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
 
 
+def test_is_prime_at_and_beyond_the_deterministic_bound():
+    # the least strong pseudoprime to the first 12 prime bases (Sorenson &
+    # Webster, Math. Comp. 2017), which Miller-Rabin on those bases passes
+    assert not is_prime(1287836182261 * 2575672364521)
+    assert is_prime(2**127 - 1)
+    assert is_prime(2**521 - 1)
+    assert not is_prime(2**128 + 1)  # 59649589127497217 * 5704689200685129054721
+
+
+def test_baillie_psw_matches_trial_division_on_a_small_range():
+    # each half alone passes composites here, the strong base-2 pseudoprimes
+    # (A001262) and the strong Lucas pseudoprimes with Selfridge's parameters
+    # (A217255); both together pass none
+    base2, lucas = [], []
+    for n in range(3, 12000, 2):
+        prime = trial_division_is_prime(n)
+        strong = _strong_probable_prime(n, (2,))
+        strong_lucas = _strong_lucas_probable_prime(n)
+        assert (strong and strong_lucas) == prime, n
+        if strong and not prime:
+            base2.append(n)
+        if strong_lucas and not prime:
+            lucas.append(n)
+    assert base2 == [2047, 3277, 4033, 4681, 8321]
+    assert lucas == [5459, 5777, 10877]
+
+
 def test_factorize_known_values():
     assert factorize(1) == {}
     assert factorize(2) == {2: 1}
@@ -64,6 +93,11 @@ def test_factorize_beyond_trial_division():
     assert factorize(p * q) == {p: 1, q: 1}
     assert factorize(p * p) == {p: 2}
     assert factorize(617 * (2**61 - 1)) == {617: 1, 2**61 - 1: 1}
+    # a strong pseudoprime to the first 12 prime bases is split, not kept
+    assert factorize(3317044064679887385961981) == {
+        1287836182261: 1,
+        2575672364521: 1,
+    }
 
 
 @given(st.integers(min_value=1, max_value=10**7))

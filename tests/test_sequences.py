@@ -109,25 +109,42 @@ def test_single_term_matches_iterated_prefix_for_fibonacci():
         assert linear_recurrence_term(FIBONACCI, m) == a[m]
 
 
-small_recurrences = st.builds(
-    LinearRecurrence,
-    st.tuples(
-        st.integers(min_value=-3, max_value=3),
-        st.integers(min_value=-3, max_value=3),
-        st.integers(min_value=-3, max_value=3).filter(lambda c: c != 0),
-    ),
-    st.tuples(
-        st.integers(min_value=-5, max_value=5),
-        st.integers(min_value=-5, max_value=5),
-        st.integers(min_value=-5, max_value=5),
-    ),
+def _recurrences(k: int) -> st.SearchStrategy[LinearRecurrence]:
+    coefficient = st.integers(min_value=-3, max_value=3)
+    return st.builds(
+        LinearRecurrence,
+        st.tuples(*[coefficient] * (k - 1), coefficient.filter(lambda c: c != 0)),
+        st.tuples(*[st.integers(min_value=-5, max_value=5)] * k),
+    )
+
+
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(_recurrences),
+    st.integers(min_value=1, max_value=300),
 )
+def test_isolated_term_matches_iteration(rec: LinearRecurrence, m: int):
+    prefix = linear_recurrence_terms(rec, 300)
+    edges = set(range(1, rec.order + 2))  # m <= k and m = k + 1
+    edges |= {2**j + e for j in range(1, 9) for e in (-1, 1)}
+    for index in sorted(edges | {m}):
+        assert linear_recurrence_term(rec, index) == prefix[index], index
 
 
-@given(small_recurrences, st.integers(min_value=1, max_value=40))
-def test_matrix_and_iterative_paths_agree(rec: LinearRecurrence, m: int):
-    prefix = linear_recurrence_terms(rec, 40)
-    assert linear_recurrence_term(rec, m) == prefix[m]
+def test_isolated_terms_at_large_indices():
+    # identities the kernel does not use: doubling F_2n = F_n (2 F_(n+1) - F_n)
+    # with F_n, F_(n+1) iterated, and Cassini F_(m-1) F_(m+1) - F_m^2 = (-1)^m
+    n = 5003
+    fib = linear_recurrence_terms(FIBONACCI, n + 1)
+    assert fibonacci_term(2 * n) == fib[n] * (2 * fib[n + 1] - fib[n])
+    m = 10**5 + 1
+    assert (
+        fibonacci_term(m - 1) * fibonacci_term(m + 1) - fibonacci_term(m) ** 2 == -1
+    )
+    tribonacci = LinearRecurrence((1, 1, 1), (1, 1, 2))
+    m = 2**14 + 1
+    assert linear_recurrence_term(tribonacci, m) == linear_recurrence_terms(
+        tribonacci, m
+    )[m]
 
 
 def test_fibonacci_like_families():
