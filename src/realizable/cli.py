@@ -8,6 +8,12 @@ Exit codes, everywhere: 0 = consistent / pass, 1 = counterexample found,
 2 = usage or data error.  A clean verdict always means "consistent up to
 the horizon": these are necessary-condition checks that can refute
 realizability but never prove it.
+
+Each subcommand takes the parsed arguments and the input prefix and
+returns its text and exit code.  Only ``main`` does I/O and maps errors: it
+reads every b-file a command names, writes the text once and only on
+success (a refusal leaves no ``--out`` file), and reports a refusal on
+stderr as ``not realizable: ...`` (exit 1) or ``error: ...`` (exit 2).
 """
 
 from __future__ import annotations
@@ -56,11 +62,13 @@ ENV_POINT_CAP = "REALIZE_POINT_CAP"
 # ---------------------------------------------------------------- helpers
 
 
-def _read_input(path: str) -> Seq:
-    if path == "-":
-        return seqio.parse_bfile(sys.stdin.read())
+def _read_bfile(path: str) -> Seq:
     with open(path, "r", encoding="ascii") as fh:
         return seqio.parse_bfile(fh.read())
+
+
+def _read_input(path: str) -> Seq:
+    return seqio.parse_bfile(sys.stdin.read()) if path == "-" else _read_bfile(path)
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -88,9 +96,7 @@ def _csv_ints(text: str, what: str) -> tuple[int, ...]:
         raise ValueError(f"{what} must be a comma-separated list of integers") from None
 
 
-def _describe_failure(first_failure: tuple[int, str] | None) -> str:
-    if first_failure is None:
-        return ""
+def _describe_failure(first_failure: tuple[int, str]) -> str:
     n, condition = first_failure
     names = {"D": "(D)", "S": "(S)", "both": "(D) and (S)"}
     return f"fails {names[condition]} at n={n}"
@@ -132,53 +138,42 @@ _GEN_FAMILIES = {
 }
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
-    build = _GEN_FAMILIES[args.family][1]
-    a = build(args, _positive_terms(args.terms))
-    _write_output(seqio.format_bfile(a), args.out)
-    return 0
+def _cmd_gen(args: argparse.Namespace, _: None) -> tuple[str, int]:
+    return seqio.format_bfile(args.build(args, _positive_terms(args.terms))), 0
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    a = _read_input(args.input)
+def _cmd_check(args: argparse.Namespace, a: Seq) -> tuple[str, int]:
     N = _horizon(a, args.terms)
     report = check_realizable(a, N)
     if args.json:
-        _write_output(seqio.dumps_doc(seqio.realizability_doc(report)), args.out)
+        text = seqio.dumps_doc(seqio.realizability_doc(report))
     elif report.consistent:
-        _write_output(
+        text = (
             f"consistent up to N={N} (necessary conditions only: a horizon "
-            "check can refute realizability, never prove it)\n",
-            args.out,
+            "check can refute realizability, never prove it)\n"
         )
     else:
         n, _ = report.first_failure
         record = report.records[n - 1]
         detail = f"Dold value {record.dold_value}, residue {record.dold_mod_n} mod {n}"
-        _write_output(
+        text = (
             f"{_describe_failure(report.first_failure)} ({detail}); verdict: "
-            f"{report.verdict}\n",
-            args.out,
+            f"{report.verdict}\n"
         )
-    return 0 if report.consistent else 1
+    return text, 0 if report.consistent else 1
 
 
-def _cmd_orbits(args: argparse.Namespace) -> int:
-    a = _read_input(args.input)
+def _cmd_orbits(args: argparse.Namespace, a: Seq) -> tuple[str, int]:
     N = _horizon(a, args.terms)
     counts = orbit_counts(a, N)
     if args.json:
-        _write_output(seqio.dumps_doc(seqio.orbit_counts_doc(counts)), args.out)
+        text = seqio.dumps_doc(seqio.orbit_counts_doc(counts))
     else:
-        _write_output(
-            "".join(f"{n} {counts[n]}\n" for n in range(1, N + 1)), args.out
-        )
-    good = all(b.denominator == 1 and b >= 0 for b in counts)
-    return 0 if good else 1
+        text = "".join(f"{n} {counts[n]}\n" for n in range(1, N + 1))
+    return text, 0 if all(b.denominator == 1 and b >= 0 for b in counts) else 1
 
 
-def _cmd_local(args: argparse.Namespace) -> int:
-    a = _read_input(args.input)
+def _cmd_local(args: argparse.Namespace, a: Seq) -> tuple[str, int]:
     N = _horizon(a, args.terms)
     if args.prime is not None:
         reports = [check_local(a, args.prime, N)]
@@ -192,35 +187,29 @@ def _cmd_local(args: argparse.Namespace) -> int:
             "consistent\n"
         )
     if args.json:
-        _write_output(seqio.dumps_doc(seqio.local_doc(N, reports)), args.out)
+        text = seqio.dumps_doc(seqio.local_doc(N, reports))
     else:
-        lines = []
-        for r in reports:
-            if r.consistent:
-                lines.append(f"p={r.prime}: consistent up to N={N}\n")
-            else:
-                lines.append(
-                    f"p={r.prime}: {_describe_failure(r.report.first_failure)}\n"
-                )
-        _write_output("".join(lines) + trailer, args.out)
-    return 0 if all(r.consistent for r in reports) else 1
+        text = "".join(
+            f"p={r.prime}: consistent up to N={N}\n"
+            if r.consistent
+            else f"p={r.prime}: {_describe_failure(r.report.first_failure)}\n"
+            for r in reports
+        ) + trailer
+    return text, 0 if all(r.consistent for r in reports) else 1
 
 
-def _cmd_sample(args: argparse.Namespace) -> int:
-    a = _read_input(args.input)
+def _cmd_sample(args: argparse.Namespace, a: Seq) -> tuple[str, int]:
     if args.monomial is not None:
         if args.monomial < 1:
             raise ValueError("--monomial exponent must be >= 1")
         h = Monomial(args.monomial)
     else:
-        with open(args.table, "r", encoding="ascii") as fh:
-            h = ExplicitTable(seqio.parse_bfile(fh.read()).terms)
+        h = ExplicitTable(args.table.terms)
     if args.terms is not None:
         N = _positive_terms(args.terms)
     else:
         N = _default_sample_horizon(h, len(a))
-    _write_output(seqio.format_bfile(sample(a, h, N)), args.out)
-    return 0
+    return seqio.format_bfile(sample(a, h, N)), 0
 
 
 def _default_sample_horizon(h: Monomial | ExplicitTable, have: int) -> int:
@@ -239,43 +228,31 @@ def _default_sample_horizon(h: Monomial | ExplicitTable, have: int) -> int:
     return N
 
 
-def _cmd_power(args: argparse.Namespace) -> int:
-    a = _read_input(args.input)
+def _cmd_power(args: argparse.Namespace, a: Seq) -> tuple[str, int]:
     N = _horizon(a, args.terms)
     coeffs = _csv_ints(args.poly, "--poly")
-    _write_output(seqio.format_bfile(term_power(a, IntPolynomial(coeffs), N)), args.out)
-    return 0
+    return seqio.format_bfile(term_power(a, IntPolynomial(coeffs), N)), 0
 
 
-def _cmd_scale(args: argparse.Namespace) -> int:
-    a = _read_input(args.input)
-    _write_output(seqio.format_bfile(scale(a, args.mult)), args.out)
-    return 0
+def _cmd_scale(args: argparse.Namespace, a: Seq) -> tuple[str, int]:
+    return seqio.format_bfile(scale(a, args.mult)), 0
 
 
-def _cmd_multiplier(args: argparse.Namespace) -> int:
-    a = _read_input(args.input)
+def _cmd_multiplier(args: argparse.Namespace, a: Seq) -> tuple[str, int]:
     N = _horizon(a, args.terms)
     report, mult = _checked_multiplier(a, N)
     if args.json:
-        _write_output(seqio.dumps_doc(seqio.multiplier_doc(report, mult)), args.out)
+        text = seqio.dumps_doc(seqio.multiplier_doc(report, mult))
     else:
-        _write_output(
+        text = (
             f"minimal multiplier for condition (D) up to N={N}: {mult.multiplier}\n"
-            f"sign condition (S) holds: {'yes' if mult.sign_ok else 'no'}\n",
-            args.out,
+            f"sign condition (S) holds: {'yes' if mult.sign_ok else 'no'}\n"
         )
-    return 0 if mult.multiplier == 1 and mult.sign_ok else 1
+    return text, 0 if report.consistent else 1
 
 
-def _cmd_realize(args: argparse.Namespace) -> int:
-    a = _read_input(args.input)
-    N = _horizon(a, args.terms)
-    try:
-        ct = realize_cycle_type(a, N)
-    except InconsistentPrefixError as err:
-        print(f"not realizable: {err}", file=sys.stderr)
-        return 1
+def _cmd_realize(args: argparse.Namespace, a: Seq) -> tuple[str, int]:
+    ct = realize_cycle_type(a, _horizon(a, args.terms))
     doc = seqio.cycle_type_doc(ct)
     if args.explicit is not None:
         cap = args.explicit
@@ -284,14 +261,12 @@ def _cmd_realize(args: argparse.Namespace) -> int:
         if cap < 0:
             raise ValueError("--explicit cap must be >= 0")
         doc = {"cycle_type": doc, "permutation": explicit_permutation(ct, cap)}
-    _write_output(seqio.dumps_doc(doc), args.out)
-    return 0
+    return seqio.dumps_doc(doc), 0
 
 
-def _cmd_irregular(args: argparse.Namespace) -> int:
+def _cmd_irregular(args: argparse.Namespace, _: None) -> tuple[str, int]:
     primes = irregular_primes(args.upto)
-    _write_output((" ".join(str(p) for p in primes) + "\n") if primes else "", args.out)
-    return 0
+    return (" ".join(str(p) for p in primes) + "\n") if primes else "", 0
 
 
 # ----------------------------------------------------------------- parser
@@ -326,12 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a named sequence family as a b-file")
     genfam = gen.add_subparsers(dest="family", required=True, metavar="FAMILY")
-    for name, (configure, _) in _GEN_FAMILIES.items():
+    for name, (configure, build) in _GEN_FAMILIES.items():
         fam = genfam.add_parser(name)
         configure(fam)
         fam.add_argument("--terms", type=int, required=True, metavar="N")
         fam.add_argument("--out", metavar="PATH")
-        fam.set_defaults(func=_cmd_gen)
+        fam.set_defaults(func=_cmd_gen, build=build)
 
     check = sub.add_parser("check", help="test conditions (D) and (S) up to a horizon")
     add_io(check)
@@ -416,11 +391,22 @@ def main(argv: ArgSeq[str] | None = None) -> int:
     except SystemExit as exit_:  # argparse prints usage itself; exit code 2 on misuse
         return int(exit_.code or 0)
     try:
-        return args.func(args)
+        a = _read_input(args.input) if "input" in args else None
+        if getattr(args, "table", None) is not None:  # sample's second b-file
+            args.table = _read_bfile(args.table)
+        text, code = args.func(args, a)
+        _write_output(text, args.out)
+        return code
+    except InconsistentPrefixError as err:
+        print(f"not realizable: {err}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         return 0
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import realizable
-from realizable import realizability
+from realizable import cli, realizability
 from realizable.cli import main
 from realizable.seqio import dumps_doc, parse_bfile
 from realizable.sequences import fibonacci_like
@@ -390,6 +390,24 @@ def test_usage_errors_exit_two(capsys, monkeypatch):
     assert run_cli(["no-such-command"], capsys, monkeypatch)[0] == 2
     assert run_cli(["check", "--terms", "zero"], capsys, monkeypatch)[0] == 2
     assert run_cli(["gen", "fiblike", "3"], capsys, monkeypatch)[0] == 2
+
+
+@pytest.mark.parametrize(
+    "error, code, err",
+    [
+        # exit 1 would read as "counterexample found": running out of memory
+        # is a refusal, never a verdict
+        (MemoryError, 2, "error: out of memory\n"),
+        (BrokenPipeError, 0, ""),
+    ],
+)
+def test_main_maps_errors_from_inside_a_subcommand(error, code, err, capsys, monkeypatch):
+    def fail(c, N):
+        raise error
+
+    monkeypatch.setattr(cli, "fibonacci_like", fail)
+    argv = ["gen", "fiblike", "3", "--terms", "10"]
+    assert run_cli(argv, capsys, monkeypatch) == (code, "", err)
 
 
 def test_module_entry_point_runs_in_a_subprocess():
