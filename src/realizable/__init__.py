@@ -6,8 +6,8 @@ points of period n under some map.  The necessary-and-sufficient arithmetic
 (divisibility and sign of the Dold transform) is decidable term by term, so
 finite prefixes can be checked exactly, localized prime by prime, repaired
 with minimal multipliers, transported through time changes and powers, and
-realized by concrete permutations.  Everything is exact: ints and Fractions,
-no floats.
+realized by concrete permutations.  Everything is exact: ints (or integral
+Decimals, see ``sequences.EXACT_CONTEXT``) and Fractions, no floats.
 """
 
 from .construct import (

@@ -10,10 +10,17 @@ the horizon": these are necessary-condition checks that can refute
 realizability but never prove it.
 
 Each subcommand takes the parsed arguments and the input prefix and
-returns its text and exit code.  Only ``main`` does I/O and maps errors: it
-reads every b-file a command names, writes the text once and only on
-success (a refusal leaves no ``--out`` file), and reports a refusal on
-stderr as ``not realizable: ...`` (exit 1) or ``error: ...`` (exit 2).
+returns its text (a JSON report as chunks rendered while they are written)
+and exit code.  Only ``main`` does I/O and maps errors: it reads every
+b-file a command names, as ASCII, writes the text only on success (a
+refusal, or a failure while a report is written, leaves no ``--out``
+file), and reports a refusal on stderr as ``not realizable: ...`` (exit 1)
+or ``error: ...`` (exit 2).
+
+The commands that only add, subtract, multiply by small ints and reduce
+mod n (``gen fiblike``/``linrec``, ``check``, ``multiplier``, ``sample``,
+``scale``) hold terms as integral Decimals: their conversion from and to
+decimal text is linear and has no digit limit.  The others read ints.
 """
 
 from __future__ import annotations
@@ -21,6 +28,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from decimal import Decimal
+from typing import Iterable
 from typing import Sequence as ArgSeq
 
 from . import seqio
@@ -62,21 +71,48 @@ ENV_POINT_CAP = "REALIZE_POINT_CAP"
 # ---------------------------------------------------------------- helpers
 
 
-def _read_bfile(path: str) -> Seq:
-    with open(path, "r", encoding="ascii") as fh:
-        return seqio.parse_bfile(fh.read())
+def _read_bfile(path: str, term=int) -> Seq:
+    with open(path, "rb") as fh:
+        return seqio.parse_bfile(_ascii(fh.read()), _term=term)
 
 
-def _read_input(path: str) -> Seq:
-    return seqio.parse_bfile(sys.stdin.read()) if path == "-" else _read_bfile(path)
+def _read_input(path: str, term) -> Seq:
+    if path != "-":
+        return _read_bfile(path, term)
+    # the bytes of stdin, decoded like a file's and not with the locale's
+    # codec (an in-memory text stream has no buffer)
+    stdin = getattr(sys.stdin, "buffer", sys.stdin)
+    return seqio.parse_bfile(_ascii(stdin.read()), _term=term)
 
 
-def _write_output(text: str, out: str | None) -> None:
+def _ascii(data: bytes | str) -> str:
+    """The b-file text, which is ASCII: the first line holding any other
+    character or byte is refused."""
+    if data.isascii():
+        return data if isinstance(data, str) else data.decode("ascii")
+    if isinstance(data, bytes):
+        data = data.decode("ascii", errors="surrogateescape")
+    lineno, line = next(
+        (i, line) for i, line in enumerate(data.splitlines(), 1) if not line.isascii()
+    )
+    raise ValueError(f"line {lineno}: b-file input is ASCII, got {line.strip()!a}")
+
+
+def _write_output(text: str | Iterable[str], out: str | None) -> None:
+    """Write the text, or its chunks as they are rendered; if rendering or
+    writing fails, no partial --out file is left."""
+    chunks = (text,) if isinstance(text, str) else text
     if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="ascii") as fh:
-            fh.write(text)
+        sys.stdout.writelines(chunks)
+        return
+    with open(out, "w", encoding="ascii") as fh:
+        try:
+            fh.writelines(chunks)
+        except BaseException:
+            fh.close()
+            if os.path.isfile(out):  # not a device such as /dev/full
+                os.remove(out)
+            raise
 
 
 def _positive_terms(terms: int) -> int:
@@ -107,16 +143,18 @@ def _describe_failure(first_failure: tuple[int, str]) -> str:
 
 def _linrec_terms(args: argparse.Namespace, N: int) -> Seq:
     rec = LinearRecurrence(
-        _csv_ints(args.coeffs, "--coeffs"), _csv_ints(args.init, "--init")
+        _csv_ints(args.coeffs, "--coeffs"),
+        tuple(map(Decimal, _csv_ints(args.init, "--init"))),
     )
     return linear_recurrence_terms(rec, N)
 
 
-# gen families in help order: name -> (add the family's arguments, build N terms)
+# gen families in help order: name -> (add the family's arguments, build N
+# terms).  The recurrences run on Decimals.
 _GEN_FAMILIES = {
     "fiblike": (
         lambda p: p.add_argument("c", type=int, help="second term"),
-        lambda args, N: fibonacci_like(args.c, N),
+        lambda args, N: fibonacci_like(Decimal(args.c), N),
     ),
     "linrec": (
         lambda p: (
@@ -142,11 +180,11 @@ def _cmd_gen(args: argparse.Namespace, _: None) -> tuple[str, int]:
     return seqio.format_bfile(args.build(args, _positive_terms(args.terms))), 0
 
 
-def _cmd_check(args: argparse.Namespace, a: Seq) -> tuple[str, int]:
+def _cmd_check(args: argparse.Namespace, a: Seq) -> tuple[str | Iterable[str], int]:
     N = _horizon(a, args.terms)
     report = check_realizable(a, N)
     if args.json:
-        text = seqio.dumps_doc(seqio.realizability_doc(report))
+        text = seqio._doc_chunks(seqio.realizability_doc(report))
     elif report.consistent:
         text = (
             f"consistent up to N={N} (necessary conditions only: a horizon "
@@ -238,11 +276,11 @@ def _cmd_scale(args: argparse.Namespace, a: Seq) -> tuple[str, int]:
     return seqio.format_bfile(scale(a, args.mult)), 0
 
 
-def _cmd_multiplier(args: argparse.Namespace, a: Seq) -> tuple[str, int]:
+def _cmd_multiplier(args: argparse.Namespace, a: Seq) -> tuple[str | Iterable[str], int]:
     N = _horizon(a, args.terms)
     report, mult = _checked_multiplier(a, N)
     if args.json:
-        text = seqio.dumps_doc(seqio.multiplier_doc(report, mult))
+        text = seqio._doc_chunks(seqio.multiplier_doc(report, mult))
     else:
         text = (
             f"minimal multiplier for condition (D) up to N={N}: {mult.multiplier}\n"
@@ -283,21 +321,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def add_io(p: argparse.ArgumentParser, with_terms: bool = True) -> None:
+    def add_io(
+        p: argparse.ArgumentParser,
+        term=int,
+        terms_help: str | None = "horizon (default: input length)",
+    ) -> None:
+        """Input, --terms (unless terms_help is None) and --out; ``term``
+        reads each a_n of the input: int, or seqio._decimal_term."""
         p.add_argument(
             "input",
             nargs="?",
             default="-",
             help="input b-file path, or - for stdin (default)",
         )
-        if with_terms:
-            p.add_argument(
-                "--terms",
-                type=int,
-                metavar="N",
-                help="horizon (default: input length)",
-            )
+        if terms_help is not None:
+            p.add_argument("--terms", type=int, metavar="N", help=terms_help)
         p.add_argument("--out", metavar="PATH", help="write output here, not stdout")
+        p.set_defaults(term=term)
 
     gen = sub.add_parser("gen", help="generate a named sequence family as a b-file")
     genfam = gen.add_subparsers(dest="family", required=True, metavar="FAMILY")
@@ -309,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
         fam.set_defaults(func=_cmd_gen, build=build)
 
     check = sub.add_parser("check", help="test conditions (D) and (S) up to a horizon")
-    add_io(check)
+    add_io(check, seqio._decimal_term)
     check.add_argument("--json", action="store_true", help="full report document")
     check.set_defaults(func=_cmd_check)
 
@@ -329,7 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
     local.set_defaults(func=_cmd_local)
 
     samp = sub.add_parser("sample", help="time change a_n -> a_{h(n)}")
-    add_io(samp)
+    add_io(
+        samp,
+        seqio._decimal_term,
+        "horizon (default: the largest N whose sampling indices fit in the input)",
+    )
     hgroup = samp.add_mutually_exclusive_group(required=True)
     hgroup.add_argument("--monomial", type=int, metavar="K", help="h(n) = n^K")
     hgroup.add_argument(
@@ -348,14 +392,14 @@ def build_parser() -> argparse.ArgumentParser:
     power.set_defaults(func=_cmd_power)
 
     sc = sub.add_parser("scale", help="multiply every term by a constant")
-    add_io(sc, with_terms=False)
+    add_io(sc, seqio._decimal_term, terms_help=None)
     sc.add_argument("--mult", type=int, required=True, metavar="C")
     sc.set_defaults(func=_cmd_scale)
 
     mult = sub.add_parser(
         "multiplier", help="least C making (C a_n) satisfy condition (D)"
     )
-    add_io(mult)
+    add_io(mult, seqio._decimal_term)
     mult.add_argument("--json", action="store_true")
     mult.set_defaults(func=_cmd_multiplier)
 
@@ -391,7 +435,7 @@ def main(argv: ArgSeq[str] | None = None) -> int:
     except SystemExit as exit_:  # argparse prints usage itself; exit code 2 on misuse
         return int(exit_.code or 0)
     try:
-        a = _read_input(args.input) if "input" in args else None
+        a = _read_input(args.input, args.term) if "input" in args else None
         if getattr(args, "table", None) is not None:  # sample's second b-file
             args.table = _read_bfile(args.table)
         text, code = args.func(args, a)

@@ -18,11 +18,12 @@ Moebius inversion of a_n = sum of D_d over d | n one prime at a time;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import localcontext
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .numtheory import divisors, mobius, primes_upto
-from .sequences import InsufficientPrefixError, RatSeq, Seq
+from .sequences import EXACT_CONTEXT, InsufficientPrefixError, RatSeq, Seq
 
 __all__ = [
     "VERDICT_CONSISTENT",
@@ -96,7 +97,8 @@ def dold_transform(a: Seq, n: int) -> int:
             f"D_{n} needs terms a_1..a_{n} but the prefix has {len(a)}",
             required=n,
         )
-    return sum(mobius(n // d) * a[d] for d in divisors(n))
+    with localcontext(EXACT_CONTEXT):
+        return sum(mobius(n // d) * a[d] for d in divisors(n))
 
 
 def orbit_counts(a: Seq, N: int) -> RatSeq:
@@ -123,16 +125,7 @@ def check_realizable(a: Seq, N: int) -> RealizabilityReport:
     """
     a.require_horizon(N)
     _reject_negative_terms(a)
-    records = tuple(
-        DoldRecord(
-            n=n,
-            dold_value=value,
-            dold_mod_n=value % n,
-            sign_ok=value >= 0,
-            divisibility_ok=value % n == 0,
-        )
-        for n, value in enumerate(_dold_values(a, N), start=1)
-    )
+    records = _records(a, N)
     first = next((r for r in records if not r.ok), None)
     # what fails at one index is the suffix of its own verdict: "D", "S" or "both"
     first_failure = (
@@ -157,18 +150,39 @@ def divisibility_check(a: Seq, N: int) -> DivisibilityResult:
     for n in range(1, N + 1):
         if a[n] == 0:
             raise ValueError(f"divisibility check needs nonzero terms; a_{n} = 0")
-    for n in range(1, N + 1):
-        for m in divisors(n)[:-1]:
-            if a[n] % a[m] != 0:
-                return DivisibilityResult(False, (m, n))
+    with localcontext(EXACT_CONTEXT):
+        for n in range(1, N + 1):
+            for m in divisors(n)[:-1]:
+                if a[n] % a[m] != 0:
+                    return DivisibilityResult(False, (m, n))
     return DivisibilityResult(True, None)
+
+
+def _records(a: Seq, N: int) -> tuple[DoldRecord, ...]:
+    """One DoldRecord per n <= N.  The residue is taken once, as an int: a
+    Decimal remainder truncates toward zero, so it can be negative or -0."""
+    records = []
+    with localcontext(EXACT_CONTEXT):
+        for n, value in enumerate(_dold_values(a, N), start=1):
+            residue = int(value % n) % n
+            records.append(
+                DoldRecord(
+                    n=n,
+                    dold_value=value,
+                    dold_mod_n=residue,
+                    sign_ok=value >= 0,
+                    divisibility_ok=residue == 0,
+                )
+            )
+    return tuple(records)
 
 
 def _dold_values(a: Seq, N: int) -> list[int]:
     """[D_1(a), ..., D_N(a)] in O(N log log N) subtractions, no factoring.
 
     a_n is the sum of D_d over d | n; removing each prime p in turn
-    (b_m -= b_{m/p} for p | m, largest m first) inverts that sum.
+    (b_m -= b_{m/p} for p | m, largest m first) inverts that sum.  The values
+    have the terms' type, int or Decimal.
     """
     b = [0, *a.terms[:N]]
     for p in primes_upto(N):

@@ -12,7 +12,9 @@ round trip.
 from __future__ import annotations
 
 import json
-from typing import Any
+import math
+from decimal import Context, Decimal, InvalidOperation
+from typing import Any, Callable, Iterator
 
 from .construct import CycleType
 from .local import LocalReport
@@ -31,14 +33,25 @@ __all__ = [
     "dumps_doc",
 ]
 
+_LEADING_DIGITS = Context(prec=20)
+_ENCODE = json.JSONEncoder(indent=2, ensure_ascii=True).encode
+# a dict of scalars as an item of a list field, at that item's indent (no
+# indent argument, so json's C encoder runs)
+_ENCODE_FLAT_ITEM = json.JSONEncoder(
+    separators=(",\n      ", ": "), ensure_ascii=True
+).encode
 
-def parse_bfile(text: str, label: str = "") -> Seq:
+
+def parse_bfile(
+    text: str, label: str = "", *, _term: Callable[[str], Any] = int
+) -> Seq:
     """Parse "n a_n" lines into a prefix; indices must run 1, 2, 3, ...
 
     Comment lines start with '#'; blank lines are ignored.  Terms may be
     signed (the checker itself rejects negatives; the file format does not).
+    ``_term`` reads each a_n: int, or _decimal_term.
     """
-    terms: list[int] = []
+    terms: list = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -49,7 +62,7 @@ def parse_bfile(text: str, label: str = "") -> Seq:
                 f"line {lineno}: expected 'n a_n', got {raw.strip()!r}"
             )
         try:
-            n, value = int(fields[0]), int(fields[1])
+            n, value = int(fields[0]), _term(fields[1])
         except ValueError:
             raise ValueError(
                 f"line {lineno}: expected two integers, got {raw.strip()!r}"
@@ -63,6 +76,45 @@ def parse_bfile(text: str, label: str = "") -> Seq:
     if not terms:
         raise ValueError("no sequence data found")
     return Seq(tuple(terms), label=label)
+
+
+def _decimal_term(field: str) -> Decimal:
+    """Decimal(field) for exactly the fields int() accepts; -0 reads as 0.
+
+    Decimal also reads exponents, points, NaN and infinities, and takes
+    underscores anywhere; those fields raise ValueError, as int() does.
+    """
+    try:
+        value = _Term(field)
+    except InvalidOperation:
+        raise ValueError(f"not an integer: {field!r}") from None
+    if not value.is_finite() or "." in field or "e" in field or "E" in field:
+        raise ValueError(f"not an integer: {field!r}")
+    if "_" in field and not all(map(str.isdecimal, field.lstrip("+-").split("_"))):
+        raise ValueError(f"misplaced underscore: {field!r}")
+    return value or _Term(0)
+
+
+class _Term(Decimal):
+    """An integral Decimal read from a b-file.  Like an int it answers
+    bit_length(), so code that sizes a prefix's terms (perfbench's tracer
+    records the largest term's bits) reads either type.  Arithmetic on it
+    gives plain Decimals."""
+
+    __slots__ = ()
+
+    def bit_length(self) -> int:
+        if not self:
+            return 0
+        # log2|t| from the exponent and the leading digits; near a power of
+        # two, where that cannot decide, count exactly
+        k = self.adjusted()
+        lead = float(_LEADING_DIGITS.scaleb(self.copy_abs(), -k))
+        log2 = k * math.log2(10) + math.log2(lead)
+        floor = math.floor(log2)
+        if min(log2 - floor, floor + 1 - log2) < 1e-6:
+            return int(self).bit_length()
+        return floor + 1
 
 
 def format_bfile(a: Seq) -> str:
@@ -153,4 +205,37 @@ def cycle_type_doc(ct: CycleType) -> dict[str, Any]:
 def dumps_doc(doc: dict[str, Any]) -> str:
     """Canonical JSON bytes: 2-space indent, fixed key order, one trailing
     newline.  json.loads followed by dumps_doc reproduces the bytes."""
-    return json.dumps(doc, indent=2, ensure_ascii=True) + "\n"
+    return "".join(_doc_chunks(doc))
+
+
+def _doc_chunks(doc: dict[str, Any]) -> Iterator[str]:
+    """dumps_doc(doc) in chunks, which is json.dumps(doc, indent=2,
+    ensure_ascii=True) + "\\n": one chunk per field, and one per item of a
+    list field whose items are all non-empty dicts of scalars (the records).
+    Json's C encoder, which runs only without an indent argument, renders
+    each such item at its indent in one call."""
+    if not doc:
+        yield "{}\n"
+        return
+    opener = "{"
+    for key, value in doc.items():
+        yield f"{opener}\n  {_ENCODE(key)}: "
+        opener = ","
+        if value and isinstance(value, list) and all(map(_is_flat, value)):
+            sep = "["
+            for item in value:
+                yield f"{sep}\n    {{\n      {_ENCODE_FLAT_ITEM(item)[1:-1]}\n    }}"
+                sep = ","
+            yield "\n  ]"
+        else:
+            yield _ENCODE(value).replace("\n", "\n  ")
+    yield "\n}\n"
+
+
+def _is_flat(item: Any) -> bool:
+    """A non-empty dict of JSON scalars."""
+    return (
+        isinstance(item, dict)
+        and bool(item)
+        and not any(isinstance(v, (dict, list, tuple)) for v in item.values())
+    )

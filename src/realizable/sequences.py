@@ -3,11 +3,26 @@
 Sequences here are finite 1-indexed prefixes: ``a[n]`` is the n-th term with
 n >= 1, matching how the arithmetic (divisor sums over d | n) is written on
 paper.  All terms are exact: Python ints, or Fractions for rational data.
+Integer prefixes may also hold integral ``decimal.Decimal`` terms, whose
+conversion to and from decimal text is linear and has no digit limit; every
+kernel that computes on terms runs on them unchanged, under
+``EXACT_CONTEXT`` whatever the caller's context.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    Context,
+    Decimal,
+    Inexact,
+    InvalidOperation,
+    Rounded,
+    localcontext,
+)
 from fractions import Fraction
 from itertools import islice
 from typing import Iterator
@@ -15,6 +30,7 @@ from typing import Iterator
 from .numtheory import primes_upto
 
 __all__ = [
+    "EXACT_CONTEXT",
     "Seq",
     "RatSeq",
     "LinearRecurrence",
@@ -32,6 +48,19 @@ __all__ = [
     "tau_beta_sequences",
     "irregular_primes",
 ]
+
+
+# Decimal arithmetic on integers under this context is exact or raises: no
+# precision or exponent bound a result can reach, and any rounding trapped.
+# Each kernel that computes on terms enters it itself, so its answer never
+# depends on the caller's context.
+EXACT_CONTEXT = Context(
+    prec=MAX_PREC,
+    Emax=MAX_EMAX,
+    Emin=MIN_EMIN,
+    traps=[Inexact, Rounded, InvalidOperation],
+)
+_ONE = Decimal(1)
 
 
 class InsufficientPrefixError(ValueError):
@@ -80,7 +109,10 @@ class _Prefix:
 
 @dataclass(frozen=True)
 class Seq(_Prefix):
-    """Finite prefix (a_1, ..., a_N) of an integer sequence, 1-indexed."""
+    """Finite prefix (a_1, ..., a_N) of an integer sequence, 1-indexed.
+
+    Terms are ints or finite Decimals with exponent 0.
+    """
 
     terms: tuple[int, ...]
     label: str = ""
@@ -90,8 +122,12 @@ class Seq(_Prefix):
         if not terms:
             raise ValueError("a sequence prefix needs at least one term")
         for t in terms:
-            if not isinstance(t, int):
+            if isinstance(t, int):
+                continue
+            if not isinstance(t, Decimal):
                 raise TypeError(f"terms must be ints, got {type(t).__name__}")
+            if not t.same_quantum(_ONE):  # NaN, infinity or a nonzero exponent
+                raise TypeError(f"Decimal terms need exponent 0, got {t}")
         object.__setattr__(self, "terms", terms)
 
 
@@ -143,16 +179,18 @@ def linear_recurrence_terms(rec: LinearRecurrence, N: int, label: str = "") -> S
     """First N terms of the recurrence, by direct iteration.
 
     Only the nonzero a_i enter each sum, and a unit a_i adds u_(n-i) as it
-    is, so no big term is copied by 0 + t or 1 * t."""
+    is, so no big term is copied by 0 + t or 1 * t.  Decimal initial terms
+    give Decimal terms."""
     if N < 1:
         raise ValueError("need N >= 1")
     terms = list(rec.initial[:N])
     (i0, a0), *lags = [(-i, a) for i, a in enumerate(rec.coefficients, 1) if a]
-    while len(terms) < N:
-        u = terms[i0] if a0 == 1 else a0 * terms[i0]
-        for i, a in lags:
-            u += terms[i] if a == 1 else a * terms[i]
-        terms.append(u)
+    with localcontext(EXACT_CONTEXT):
+        while len(terms) < N:
+            u = terms[i0] if a0 == 1 else a0 * terms[i0]
+            for i, a in lags:
+                u += terms[i] if a == 1 else a * terms[i]
+            terms.append(u or 0)  # a Decimal zero is -0 when a negative a_i met only zeros
     return Seq(tuple(terms), label=label)
 
 

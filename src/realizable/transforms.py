@@ -11,12 +11,14 @@ the whole content of "almost realizable", made effective here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import localcontext
 from math import gcd, lcm
 from typing import Sequence, Union
 
 from .numtheory import factorize
-from .realizability import RealizabilityReport, _dold_values, check_realizable
+from .realizability import DoldRecord, RealizabilityReport, _records, check_realizable
 from .sequences import (
+    EXACT_CONTEXT,
     InsufficientPrefixError,
     LinearRecurrence,
     Seq,
@@ -156,20 +158,18 @@ def term_power(a: Seq, h: IntPolynomial, N: int) -> Seq:
     counts); exponents h(n) are >= 0 by the coefficient invariant.
     """
     _require_nonnegative(a, N, "termwise powers need")
-    return Seq(
-        tuple(a[n] ** h(n) for n in range(1, N + 1)),
-        label=f"{a.label}^h" if a.label else "",
-    )
+    with localcontext(EXACT_CONTEXT):
+        terms = tuple(a[n] ** h(n) for n in range(1, N + 1))
+    return Seq(terms, label=f"{a.label}^h" if a.label else "")
 
 
 def scale(a: Seq, C: int) -> Seq:
     """The scaled prefix (C a_n); C >= 1 keeps counts meaningful."""
     if C < 1:
         raise ValueError("the multiplier C must be >= 1")
-    return Seq(
-        tuple(C * t for t in a.terms),
-        label=f"{C}*{a.label}" if a.label else f"{C}*a",
-    )
+    with localcontext(EXACT_CONTEXT):
+        terms = tuple(C * t for t in a.terms)
+    return Seq(terms, label=f"{C}*{a.label}" if a.label else f"{C}*a")
 
 
 def minimal_multiplier(a: Seq, N: int) -> MultiplierReport:
@@ -180,7 +180,7 @@ def minimal_multiplier(a: Seq, N: int) -> MultiplierReport:
     rejected just like in the checker.
     """
     _require_nonnegative(a, N, "multiplier analysis needs")
-    return _multiplier_report(_dold_values(a, N))
+    return _multiplier_report(_records(a, N))
 
 
 def denominator_prime_scan(a: Seq, N: int) -> set[int]:
@@ -269,17 +269,17 @@ def _checked_multiplier(a: Seq, N: int) -> tuple[RealizabilityReport, Multiplier
     """check_realizable(a, N) and minimal_multiplier(a, N) from one Dold table."""
     _require_nonnegative(a, N, "multiplier analysis needs")
     report = check_realizable(a, N)
-    return report, _multiplier_report([r.dold_value for r in report.records])
+    return report, _multiplier_report(report.records)
 
 
-def _multiplier_report(dold: Sequence[int]) -> MultiplierReport:
-    """Multiplier analysis of D_1(a), ..., D_N(a): the reduced denominator of
-    D_n/n is n / gcd(D_n, n)."""
-    denominators = tuple(n // gcd(v, n) for n, v in enumerate(dold, start=1))
+def _multiplier_report(records: Sequence[DoldRecord]) -> MultiplierReport:
+    """Multiplier analysis of the records for n = 1..N: the reduced
+    denominator of D_n/n is n / gcd(D_n, n) = n / gcd(D_n mod n, n)."""
+    denominators = tuple(r.n // gcd(r.dold_mod_n, r.n) for r in records)
     return MultiplierReport(
         horizon=len(denominators),
         multiplier=lcm(*denominators),
-        sign_ok=all(v >= 0 for v in dold),
+        sign_ok=all(r.sign_ok for r in records),
         denominators=denominators,
     )
 

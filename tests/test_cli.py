@@ -1,8 +1,11 @@
+import decimal
 import io
 import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +13,7 @@ import realizable
 from realizable import cli, realizability
 from realizable.cli import main
 from realizable.seqio import dumps_doc, parse_bfile
-from realizable.sequences import fibonacci_like
+from realizable.sequences import EXACT_CONTEXT, fibonacci_like
 
 LUCAS10 = "1 1\n2 3\n3 4\n4 7\n5 11\n6 18\n7 29\n8 47\n9 76\n10 123\n"
 FIB10 = "1 1\n2 1\n3 2\n4 3\n5 5\n6 8\n7 13\n8 21\n9 34\n10 55\n"
@@ -429,3 +432,87 @@ def test_missing_input_file_is_a_data_error(capsys, monkeypatch):
     code, _, err = run_cli(["check", "/no/such/file"], capsys, monkeypatch)
     assert code == 2
     assert err.startswith("error:")
+
+
+# ------------------------------------------------------- input and limits
+
+ARABIC_ONE = "1 \u0661\n2 3\n"  # an Arabic-Indic digit one, which int() accepts
+
+
+@pytest.mark.parametrize("command", ["check", "orbits"])  # Decimal and int terms
+def test_non_ascii_input_is_refused_from_a_path_and_from_stdin(command, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "arabic.b"
+    path.write_text(ARABIC_ONE, encoding="utf-8")
+    from_path = run_cli([command, str(path)], capsys, monkeypatch)
+    from_stdin = run_cli([command], capsys, monkeypatch, stdin_text=ARABIC_ONE)
+    refusal = (2, "", "error: line 1: b-file input is ASCII, got '1 \\u0661'\n")
+    assert from_stdin == refusal
+    assert from_path == (2, "", "error: line 1: b-file input is ASCII, got '1 \\udcd9\\udca1'\n")
+
+
+@pytest.mark.parametrize("data", [ARABIC_ONE.encode("utf-8"), b"1 1\n2 \xe9\n"])
+def test_non_ascii_bytes_on_stdin_are_refused_like_a_file(data, tmp_path):
+    # the child reads its real stdin, so the bytes are decoded as ASCII, not with the locale codec
+    src = os.path.dirname(os.path.dirname(realizable.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "LANG": "C.UTF-8", "LC_ALL": "C.UTF-8"}
+    path = tmp_path / "in.b"
+    path.write_bytes(data)
+    results = [
+        subprocess.run(
+            [sys.executable, "-m", "realizable", "check", *argv],
+            input=data,
+            capture_output=True,
+            timeout=60,
+            env=env,
+        )
+        for argv in ([], [str(path)])
+    ]
+    line = 1 if data.startswith(b"1 \xd9") else 2
+    for proc in results:
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: line {line}: b-file input is ASCII".encode())
+    assert results[0].stderr == results[1].stderr
+
+
+def test_the_decimal_paths_have_no_digit_limit(tmp_path, capsys, monkeypatch):
+    # L_n passes CPython's 4,300-digit int<->str limit near n = 20,600
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["gen", "fiblike", "3", "--terms", "21000", "--out", "l.b"], capsys, monkeypatch)[:2] == (0, "")
+    last = Path("l.b").read_text().splitlines()[-1].split()
+    assert last[0] == "21000" and len(last[1]) > 4300
+    lucas = fibonacci_like(3, 21000)[21000]
+    with decimal.localcontext(EXACT_CONTEXT):
+        for p in (10**9 + 7, 998244353, 2**61 - 1):
+            assert int(Decimal(last[1]) % p) == lucas % p
+    code, out, _ = run_cli(["check", "l.b"], capsys, monkeypatch)
+    assert (code, out.split(" (")[0]) == (0, "consistent up to N=21000")
+    code, sampled, _ = run_cli(["sample", "l.b", "--monomial", "2"], capsys, monkeypatch)
+    assert code == 0 and sampled.count("\n") == 144  # 144^2 <= 21000 < 145^2
+    code, scaled, _ = run_cli(["scale", "--mult", "5"], capsys, monkeypatch, stdin_text=sampled)
+    assert code == 0
+    with decimal.localcontext(EXACT_CONTEXT):
+        assert scaled.splitlines()[-1] == f"144 {5 * Decimal(sampled.split()[-1])}"
+
+
+def test_a_report_that_fails_while_written_leaves_no_out_file(tmp_path, capsys, monkeypatch):
+    def failing_chunks(doc):
+        yield "{"
+        raise MemoryError
+
+    monkeypatch.setattr(cli.seqio, "_doc_chunks", failing_chunks)
+    out = tmp_path / "report.json"
+    argv = ["check", "--json", "--out", str(out)]
+    assert run_cli(argv, capsys, monkeypatch, stdin_text=LUCAS10) == (2, "", "error: out of memory\n")
+    assert not out.exists()
+
+
+def test_gen_linrec_prints_no_negative_zero(capsys, monkeypatch):
+    argv = ["gen", "linrec", "--coeffs=-1,-1", "--init", "0,0", "--terms", "4"]
+    assert run_cli(argv, capsys, monkeypatch) == (0, "1 0\n2 0\n3 0\n4 0\n", "")
+
+
+def test_sample_help_names_its_own_default(capsys, monkeypatch):
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["sample", "-h"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert "horizon (default: the largest N whose sampling indices fit in the input)" in out
