@@ -56,11 +56,11 @@ from .transforms import (
     IntPolynomial,
     Monomial,
     _checked_multiplier,
+    _past,
     required_source_length,
     sample,
     scale,
     term_power,
-    time_change_value,
 )
 
 __all__ = ["main", "run", "build_parser"]
@@ -255,7 +255,7 @@ def _default_sample_horizon(h: Monomial | ExplicitTable, have: int) -> int:
     limit = len(h.values) if isinstance(h, ExplicitTable) else have
     N = 0
     for n in range(1, limit + 1):
-        if time_change_value(h, n) > have:
+        if _past(h, n, have):
             break
         N = n
     if N == 0:
@@ -282,8 +282,9 @@ def _cmd_multiplier(args: argparse.Namespace, a: Seq) -> tuple[str | Iterable[st
     if args.json:
         text = seqio._doc_chunks(seqio.multiplier_doc(report, mult))
     else:
+        value = seqio._int_text(mult.multiplier)
         text = (
-            f"minimal multiplier for condition (D) up to N={N}: {mult.multiplier}\n"
+            f"minimal multiplier for condition (D) up to N={N}: {value}\n"
             f"sign condition (S) holds: {'yes' if mult.sign_ok else 'no'}\n"
         )
     return text, 0 if report.consistent else 1

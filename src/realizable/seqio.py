@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from decimal import Context, Decimal, InvalidOperation
 from typing import Any, Callable, Iterator
 
@@ -34,6 +35,9 @@ __all__ = [
 ]
 
 _LEADING_DIGITS = Context(prec=20)
+# a refused line longer than this is quoted in part, so that a term of
+# thousands of digits does not fill the message
+_SHOWN_CHARS = 40
 _ENCODE = json.JSONEncoder(indent=2, ensure_ascii=True).encode
 # a dict of scalars as an item of a list field, at that item's indent (no
 # indent argument, so json's C encoder runs)
@@ -59,13 +63,15 @@ def parse_bfile(
         fields = line.split()
         if len(fields) != 2:
             raise ValueError(
-                f"line {lineno}: expected 'n a_n', got {raw.strip()!r}"
+                f"line {lineno}: expected 'n a_n', got {_shown(raw.strip(), [])}"
             )
         try:
             n, value = int(fields[0]), _term(fields[1])
         except ValueError:
+            int_fields = fields if _term is int else fields[:1]
             raise ValueError(
-                f"line {lineno}: expected two integers, got {raw.strip()!r}"
+                f"line {lineno}: expected two integers, got "
+                f"{_shown(raw.strip(), int_fields)}"
             ) from None
         if n != len(terms) + 1:
             raise ValueError(
@@ -76,6 +82,21 @@ def parse_bfile(
     if not terms:
         raise ValueError("no sequence data found")
     return Seq(tuple(terms), label=label)
+
+
+def _shown(line: str, int_fields: list[str]) -> str:
+    """The refused line, quoted; past _SHOWN_CHARS only its start, with the
+    digit count of its longest field and, when int() reads that field and
+    it passes CPython's digit limit on int(), that limit."""
+    if len(line) <= _SHOWN_CHARS:
+        return repr(line)
+    field = max(line.split(), key=len)
+    digits = sum(map(str.isdigit, field))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    cause = ""
+    if field in int_fields and 0 < limit < digits:
+        cause = f"; past CPython's {limit:,}-digit limit on int()"
+    return f"{line[:_SHOWN_CHARS]!r}... (a field of {digits:,} digits{cause})"
 
 
 def _decimal_term(field: str) -> Decimal:
@@ -115,6 +136,14 @@ class _Term(Decimal):
         if min(log2 - floor, floor + 1 - log2) < 1e-6:
             return int(self).bit_length()
         return floor + 1
+
+
+def _int_text(i: int) -> str:
+    """str(i), also past CPython's limit on the digits str() writes."""
+    try:
+        return str(i)
+    except ValueError:
+        return str(Decimal(i))
 
 
 def format_bfile(a: Seq) -> str:
@@ -186,7 +215,7 @@ def multiplier_doc(
     """Horizon check document extended with the multiplier analysis."""
     doc = realizability_doc(report)
     doc["multiplier"] = {
-        "value": str(mult.multiplier),
+        "value": _int_text(mult.multiplier),
         "sign_ok": mult.sign_ok,
         "denominators": [str(d) for d in mult.denominators],
     }

@@ -67,10 +67,11 @@ class InsufficientPrefixError(ValueError):
     """A prefix is shorter than an operation needs.
 
     ``required`` carries the prefix length that would have sufficed, so
-    callers can report exactly how much data to supply.
+    callers can report exactly how much data to supply; it is None for a
+    length too large to build (an n^k of more than 4,300 digits).
     """
 
-    def __init__(self, message: str, required: int):
+    def __init__(self, message: str, required: int | None):
         super().__init__(message)
         self.required = required
 

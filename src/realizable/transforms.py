@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import localcontext
-from math import gcd, lcm
+from math import gcd, lcm, log10
 from typing import Sequence, Union
 
 from .numtheory import factorize
@@ -125,7 +125,17 @@ def required_source_length(h: TimeChange, N: int) -> int:
     """Largest source index the first N sampled terms touch."""
     if N < 1:
         raise ValueError("need N >= 1")
+    if isinstance(h, Monomial):
+        return N**h.k  # n^k grows with n
     return max(time_change_value(h, n) for n in range(1, N + 1))
+
+
+def _past(h: TimeChange, n: int, have: int) -> bool:
+    """h(n) > have.  For n >= 2, n^k >= 2^(k (bits(n) - 1)), so a power
+    that passes ``have`` by its size alone is never built."""
+    if isinstance(h, Monomial) and n > 1 and h.k * (n.bit_length() - 1) >= have.bit_length():
+        return True
+    return time_change_value(h, n) > have
 
 
 def sample(a: Seq, h: TimeChange, N: int) -> Seq:
@@ -137,10 +147,16 @@ def sample(a: Seq, h: TimeChange, N: int) -> Seq:
     >>> sample(Seq((1, 1, 2, 3, 5, 8, 13, 21, 34)), Monomial(2), 3).terms
     (1, 3, 34)
     """
-    need = required_source_length(h, N)
-    if need > len(a):
+    if N < 1:
+        raise ValueError("need N >= 1")
+    if any(_past(h, n, len(a)) for n in range(1, N + 1)):
+        # an N^k of more than 4,300 digits, past what str() prints, is named
+        # and not built
+        unbuilt = isinstance(h, Monomial) and h.k * log10(N) >= 4300
+        need = None if unbuilt else required_source_length(h, N)
         raise InsufficientPrefixError(
-            f"sampling to N={N} needs a source prefix of length {need}, "
+            f"sampling to N={N} needs a source prefix of length "
+            f"{f'{N}^{h.k}' if need is None else need}, "
             f"but only {len(a)} terms are available",
             required=need,
         )

@@ -1,9 +1,11 @@
 import decimal
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from pathlib import Path
 
@@ -14,6 +16,8 @@ from realizable import cli, realizability
 from realizable.cli import main
 from realizable.seqio import dumps_doc, parse_bfile
 from realizable.sequences import EXACT_CONTEXT, fibonacci_like
+
+from helpers import naive_dold
 
 LUCAS10 = "1 1\n2 3\n3 4\n4 7\n5 11\n6 18\n7 29\n8 47\n9 76\n10 123\n"
 FIB10 = "1 1\n2 1\n3 2\n4 3\n5 5\n6 8\n7 13\n8 21\n9 34\n10 55\n"
@@ -492,6 +496,61 @@ def test_the_decimal_paths_have_no_digit_limit(tmp_path, capsys, monkeypatch):
     assert code == 0
     with decimal.localcontext(EXACT_CONTEXT):
         assert scaled.splitlines()[-1] == f"144 {5 * Decimal(sampled.split()[-1])}"
+
+
+def test_multiplier_prints_values_past_the_str_digit_limit(tmp_path, capsys, monkeypatch):
+    # the multiplier of fiblike(4) up to N = 20,000 has 4,368 digits, past
+    # CPython's 4,300-digit int->str limit
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["gen", "fiblike", "4", "--terms", "20000", "--out", "f4.b"], capsys, monkeypatch)[:2] == (0, "")
+    code, out, err = run_cli(["multiplier", "f4.b"], capsys, monkeypatch)
+    assert (code, err) == (1, "")
+    value = out.splitlines()[0].rpartition(" ")[2]
+    code, out, err = run_cli(["multiplier", "--json", "f4.b"], capsys, monkeypatch)
+    assert (code, err) == (1, "")
+    doc = json.loads(out)["multiplier"]
+    assert doc["value"] == value and len(value) > 4300
+    a = list(fibonacci_like(4, 20000).terms)
+    denominators = [int(d) for d in doc["denominators"]]
+    for n in [*range(1, 301), 19_998, 19_999, 20_000]:
+        assert denominators[n - 1] == n // math.gcd(naive_dold(a, n), n), n
+    multiplier = math.lcm(*denominators)
+    with decimal.localcontext(EXACT_CONTEXT):
+        for p in (10**9 + 7, 998244353, 2**61 - 1):
+            assert int(Decimal(value) % p) == multiplier % p
+
+
+@pytest.mark.parametrize(
+    "terms, expected",
+    [
+        (
+            ["--terms", "3"],
+            (
+                2,
+                "",
+                "error: sampling to N=3 needs a source prefix of length 3^100000000, "
+                "but only 4 terms are available\n",
+            ),
+        ),
+        ([], (0, "1 1\n", "")),  # h(1) = 1 is the only index that fits
+    ],
+)
+def test_sample_decides_a_huge_monomial_from_sizes(terms, expected, capsys, monkeypatch):
+    start = time.perf_counter()
+    argv = ["sample", "--monomial", "100000000", *terms]
+    assert run_cli(argv, capsys, monkeypatch, stdin_text=LUCAS10[:16]) == expected
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("command", [["orbits"], ["local", "--all"], ["realize"], ["power", "--poly", "1"]])
+def test_an_int_past_the_digit_limit_gets_a_short_refusal(command, capsys, monkeypatch):
+    line = "2 " + "7" * 4301
+    code, out, err = run_cli(command, capsys, monkeypatch, stdin_text=f"1 1\n{line}\n")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: line 2: expected two integers, got {line[:40]!r}... (a field of 4,301 "
+        "digits; past CPython's 4,300-digit limit on int())\n"
+    )
 
 
 def test_a_report_that_fails_while_written_leaves_no_out_file(tmp_path, capsys, monkeypatch):

@@ -100,6 +100,19 @@ def test_decimal_term_refuses_what_int_refuses(field):
     assert parse_both(f"1 {field}\n") == [f"ValueError: {message}"] * 2
 
 
+def test_a_long_refused_line_is_quoted_in_part():
+    # the Decimal path reads a_n with no digit limit, so the limit of int()
+    # is named only for the int path
+    field = "1." + "5" * 5000
+    head = f"line 1: expected two integers, got '1 1.{'5' * 36}'... (a field of 5,001 digits"
+    assert parse_both(f"1 {field}\n") == [
+        f"ValueError: {head}; past CPython's 4,300-digit limit on int())",
+        f"ValueError: {head})",
+    ]
+    three = f"line 1: expected 'n a_n', got '1 1 {'7' * 36}'... (a field of 5,000 digits)"
+    assert parse_both(f"1 1 {'7' * 5000}\n") == [f"ValueError: {three}"] * 2
+
+
 def test_decimal_term_refuses_an_empty_field():
     with pytest.raises(ValueError):
         _decimal_term("")

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -76,6 +78,17 @@ def test_sample_reports_needed_length():
     with pytest.raises(InsufficientPrefixError) as err:
         sample(Seq((1, 1, 2)), Monomial(2), 4)
     assert err.value.required == 16
+
+
+def test_sample_names_a_huge_length_without_building_it():
+    with pytest.raises(InsufficientPrefixError, match=r"length 3\^100000000, but only 3 terms") as err:
+        sample(Seq((1, 1, 2)), Monomial(10**8), 3)
+    assert err.value.required is None
+    start = time.perf_counter()
+    with pytest.raises(InsufficientPrefixError) as err:
+        sample(Seq((1, 1, 2)), Monomial(700), 10**6)
+    assert err.value.required == 10**4200
+    assert time.perf_counter() - start < 1
 
 
 def test_sample_with_table():
