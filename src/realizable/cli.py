@@ -56,7 +56,7 @@ from .transforms import (
     IntPolynomial,
     Monomial,
     _checked_multiplier,
-    _past,
+    _fit,
     required_source_length,
     sample,
     scale,
@@ -243,27 +243,13 @@ def _cmd_sample(args: argparse.Namespace, a: Seq) -> tuple[str, int]:
         h = Monomial(args.monomial)
     else:
         h = ExplicitTable(args.table.terms)
-    if args.terms is not None:
-        N = _positive_terms(args.terms)
-    else:
-        N = _default_sample_horizon(h, len(a))
-    return seqio.format_bfile(sample(a, h, N)), 0
-
-
-def _default_sample_horizon(h: Monomial | ExplicitTable, have: int) -> int:
-    """Largest N whose sampling indices all fit in the source prefix."""
-    limit = len(h.values) if isinstance(h, ExplicitTable) else have
-    N = 0
-    for n in range(1, limit + 1):
-        if _past(h, n, have):
-            break
-        N = n
+    N = _positive_terms(args.terms) if args.terms is not None else _fit(h, len(a))
     if N == 0:
         raise ValueError(
             f"source prefix too short even for N=1 "
             f"(needs {required_source_length(h, 1)} terms)"
         )
-    return N
+    return seqio.format_bfile(sample(a, h, N)), 0
 
 
 def _cmd_power(args: argparse.Namespace, a: Seq) -> tuple[str, int]:

@@ -76,7 +76,7 @@ def support_primes(a: Seq, N: int) -> list[int]:
     primes: set[int] = set()
     for n in range(1, N + 1):
         if a[n] > 1:
-            primes.update(factorize(a[n]))
+            primes.update(factorize(int(a[n])))
     return sorted(primes)
 
 

@@ -4,9 +4,12 @@ Sequences here are finite 1-indexed prefixes: ``a[n]`` is the n-th term with
 n >= 1, matching how the arithmetic (divisor sums over d | n) is written on
 paper.  All terms are exact: Python ints, or Fractions for rational data.
 Integer prefixes may also hold integral ``decimal.Decimal`` terms, whose
-conversion to and from decimal text is linear and has no digit limit; every
-kernel that computes on terms runs on them unchanged, under
-``EXACT_CONTEXT`` whatever the caller's context.
+conversion to and from decimal text is linear and has no digit limit.  The
+kernels that compute on terms run on them under ``EXACT_CONTEXT`` whatever
+the caller's context, except four that still need ints (ROADMAP item 1):
+``orbit_counts`` raises TypeError, ``p_part`` and ``check_local`` raise
+DivisionImpossible on terms past 28 digits, and ``realize_cycle_type``
+raises ValueError.
 """
 
 from __future__ import annotations

@@ -130,12 +130,20 @@ def required_source_length(h: TimeChange, N: int) -> int:
     return max(time_change_value(h, n) for n in range(1, N + 1))
 
 
-def _past(h: TimeChange, n: int, have: int) -> bool:
-    """h(n) > have.  For n >= 2, n^k >= 2^(k (bits(n) - 1)), so a power
-    that passes ``have`` by its size alone is never built."""
-    if isinstance(h, Monomial) and n > 1 and h.k * (n.bit_length() - 1) >= have.bit_length():
-        return True
-    return time_change_value(h, n) > have
+def _fit(h: TimeChange, have: int) -> int:
+    """Largest N with h(1), ..., h(N) all <= have.  For a monomial that is
+    the integer k-th root of ``have``, and 1 when 2^k > have, so no power
+    past ``have`` is built."""
+    if isinstance(h, ExplicitTable):
+        return next((n for n, v in enumerate(h.values) if v > have), len(h.values))
+    if h.k >= have.bit_length():
+        return 1
+    x = 1 << -(-have.bit_length() // h.k)  # x^k >= 2^bits > have
+    while True:  # Newton's step from above stops at the floor of the root
+        y = ((h.k - 1) * x + have // x ** (h.k - 1)) // h.k
+        if y >= x:
+            return x
+        x = y
 
 
 def sample(a: Seq, h: TimeChange, N: int) -> Seq:
@@ -149,14 +157,14 @@ def sample(a: Seq, h: TimeChange, N: int) -> Seq:
     """
     if N < 1:
         raise ValueError("need N >= 1")
-    if any(_past(h, n, len(a)) for n in range(1, N + 1)):
-        # an N^k of more than 4,300 digits, past what str() prints, is named
-        # and not built
-        unbuilt = isinstance(h, Monomial) and h.k * log10(N) >= 4300
-        need = None if unbuilt else required_source_length(h, N)
+    if N > _fit(h, len(a)):
+        # an N^k of more than 40 digits is named as a power, and one of more
+        # than 4,300 digits, past what str() prints, is not built
+        log_need = h.k * log10(N) if isinstance(h, Monomial) else 0
+        need = None if log_need >= 4300 else required_source_length(h, N)
         raise InsufficientPrefixError(
             f"sampling to N={N} needs a source prefix of length "
-            f"{f'{N}^{h.k}' if need is None else need}, "
+            f"{f'{N}^{h.k}' if log_need >= 40 else need}, "
             f"but only {len(a)} terms are available",
             required=need,
         )
@@ -175,7 +183,7 @@ def term_power(a: Seq, h: IntPolynomial, N: int) -> Seq:
     """
     _require_nonnegative(a, N, "termwise powers need")
     with localcontext(EXACT_CONTEXT):
-        terms = tuple(a[n] ** h(n) for n in range(1, N + 1))
+        terms = tuple(a[n] ** h(n) if h(n) else 1 for n in range(1, N + 1))
     return Seq(terms, label=f"{a.label}^h" if a.label else "")
 
 

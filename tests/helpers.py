@@ -128,3 +128,17 @@ def falling_factorial(x: int, k: int) -> int:
     for i in range(k):
         out *= x - i
     return out
+
+
+def naive_sample_fit(h: int | tuple[int, ...], have: int) -> int:
+    """Largest N with h(1), ..., h(N) all <= have, one index at a time.
+
+    h is a monomial exponent k (h(n) = n^k) or the tuple h(1), h(2), ...
+    of a finite table.
+    """
+    N = 0
+    while isinstance(h, int) or N < len(h):
+        if ((N + 1) ** h if isinstance(h, int) else h[N]) > have:
+            break
+        N += 1
+    return N

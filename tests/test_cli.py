@@ -17,7 +17,7 @@ from realizable.cli import main
 from realizable.seqio import dumps_doc, parse_bfile
 from realizable.sequences import EXACT_CONTEXT, fibonacci_like
 
-from helpers import naive_dold
+from helpers import naive_dold, naive_sample_fit
 
 LUCAS10 = "1 1\n2 3\n3 4\n4 7\n5 11\n6 18\n7 29\n8 47\n9 76\n10 123\n"
 FIB10 = "1 1\n2 1\n3 2\n4 3\n5 5\n6 8\n7 13\n8 21\n9 34\n10 55\n"
@@ -540,6 +540,25 @@ def test_sample_decides_a_huge_monomial_from_sizes(terms, expected, capsys, monk
     argv = ["sample", "--monomial", "100000000", *terms]
     assert run_cli(argv, capsys, monkeypatch, stdin_text=LUCAS10[:16]) == expected
     assert time.perf_counter() - start < 1
+
+
+def test_sample_writes_a_long_length_as_a_power(capsys, monkeypatch):
+    argv = ["sample", "--monomial", "700", "--terms", "1000000"]
+    code, out, err = run_cli(argv, capsys, monkeypatch, stdin_text=LUCAS10[:16])
+    assert (code, out) == (2, "")
+    assert len(err.encode()) < 200 and "length 1000000^700," in err
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 6, 7])
+@pytest.mark.parametrize("have", [1, 2, 63, 64, 65, 128])
+def test_sample_default_horizon_matches_a_scan(k, have, capsys, monkeypatch):
+    text = "".join(f"{n} {n}\n" for n in range(1, have + 1))
+    code, out, _ = run_cli(["sample", "--monomial", str(k)], capsys, monkeypatch, stdin_text=text)
+    N = naive_sample_fit(k, have)
+    assert (code, out) == (0, "".join(f"{n} {n**k}\n" for n in range(1, N + 1)))
+    argv = ["sample", "--monomial", str(k), "--terms", str(N + 1)]
+    code, _, err = run_cli(argv, capsys, monkeypatch, stdin_text=text)
+    assert code == 2 and f"length {(N + 1) ** k}," in err
 
 
 @pytest.mark.parametrize("command", [["orbits"], ["local", "--all"], ["realize"], ["power", "--poly", "1"]])

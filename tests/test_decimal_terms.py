@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from realizable.construct import realize_cycle_type
-from realizable.local import check_everywhere_local
+from realizable.local import check_everywhere_local, support_primes
 from realizable.realizability import check_realizable, divisibility_check, dold_transform, orbit_counts
 from realizable.seqio import (
     _decimal_term,
@@ -226,6 +226,16 @@ def test_recurrences_sample_and_scale_run_on_decimals():
     # a negative coefficient times a zero term is -0 in Decimal; it must print as 0
     zeros = linear_recurrence_terms(LinearRecurrence((-1, -1), (Decimal(0), Decimal(0))), 4)
     assert format_bfile(zeros) == "1 0\n2 0\n3 0\n4 0\n"
+
+
+def test_term_power_keeps_zero_to_the_zero_on_decimals():
+    assert term_power(decimals([0, 5, 0]), IntPolynomial((0,)), 3).terms == (1, 1, 1)
+    assert term_power(decimals([0, 2]), IntPolynomial((0, 1)), 2).terms == (0, 4)
+
+
+def test_support_primes_of_decimals_are_ints():
+    primes = support_primes(decimals([1, 3, 4, 7]), 4)
+    assert primes == [2, 3, 7] and all(type(p) is int for p in primes)
 
 
 # ------------------------------------------------------------- writers

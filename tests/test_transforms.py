@@ -17,6 +17,7 @@ from realizable.transforms import (
     ExplicitTable,
     IntPolynomial,
     Monomial,
+    _fit,
     denominator_prime_scan,
     luca_ward_check,
     minimal_multiplier,
@@ -26,6 +27,8 @@ from realizable.transforms import (
     term_power,
     time_change_value,
 )
+
+from helpers import naive_sample_fit
 
 FIB = fibonacci_like(1, 120)
 LUCAS = fibonacci_like(3, 120)
@@ -85,10 +88,57 @@ def test_sample_names_a_huge_length_without_building_it():
         sample(Seq((1, 1, 2)), Monomial(10**8), 3)
     assert err.value.required is None
     start = time.perf_counter()
-    with pytest.raises(InsufficientPrefixError) as err:
+    with pytest.raises(InsufficientPrefixError, match=r"length 1000000\^700, but only 3 terms") as err:
         sample(Seq((1, 1, 2)), Monomial(700), 10**6)
     assert err.value.required == 10**4200
     assert time.perf_counter() - start < 1
+
+
+def test_sample_writes_a_length_past_40_digits_as_a_power():
+    with pytest.raises(InsufficientPrefixError, match=r"length 10{39}, but") as err:
+        sample(Seq((1, 1, 2)), Monomial(39), 10)
+    assert err.value.required == 10**39
+    with pytest.raises(InsufficientPrefixError, match=r"length 10\^40, but") as err:
+        sample(Seq((1, 1, 2)), Monomial(40), 10)
+    assert err.value.required == 10**40
+
+
+def test_fit_matches_a_scan_for_monomials():
+    for k in range(1, 14):
+        for have in range(1, 1200):
+            assert _fit(Monomial(k), have) == naive_sample_fit(k, have), (k, have)
+    for have in (1, 2, 3, 2**64 - 1, 2**64, 10**50, 10**50 + 1, 3**200):
+        bits = have.bit_length()
+        for k in {1, 2, 3, 7, bits - 1, bits, bits + 5} - {0}:
+            N = _fit(Monomial(k), have)
+            assert N**k <= have < (N + 1) ** k, (k, have)
+        assert _fit(Monomial(10**9), have) == 1
+
+
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=12), st.integers(1, 40))
+def test_fit_matches_a_scan_for_tables(values, have):
+    assert _fit(ExplicitTable(values), have) == naive_sample_fit(tuple(values), have)
+
+
+@given(
+    st.one_of(
+        st.builds(Monomial, st.integers(1, 6)),
+        st.builds(ExplicitTable, st.lists(st.integers(1, 40), min_size=1, max_size=12)),
+    ),
+    st.integers(1, 40),
+    st.integers(1, 14),
+)
+def test_sample_refuses_exactly_past_the_scanned_fit(h, have, N):
+    a = Seq(tuple(range(1, have + 1)))
+    if N <= naive_sample_fit(h.k if isinstance(h, Monomial) else h.values, have):
+        assert sample(a, h, N).terms == tuple(time_change_value(h, n) for n in range(1, N + 1))
+    elif isinstance(h, ExplicitTable) and N > len(h.values):
+        with pytest.raises(ValueError, match="explicit table has"):
+            sample(a, h, N)
+    else:
+        with pytest.raises(InsufficientPrefixError) as err:
+            sample(a, h, N)
+        assert err.value.required == required_source_length(h, N)
 
 
 def test_sample_with_table():
