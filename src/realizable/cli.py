@@ -17,10 +17,7 @@ refusal, or a failure while a report is written, leaves no ``--out``
 file), and reports a refusal on stderr as ``not realizable: ...`` (exit 1)
 or ``error: ...`` (exit 2).
 
-The commands that only add, subtract, multiply by small ints and reduce
-mod n (``gen fiblike``/``linrec``, ``check``, ``multiplier``, ``sample``,
-``scale``) hold terms as integral Decimals: their conversion from and to
-decimal text is linear and has no digit limit.  The others read ints.
+Every command holds b-file terms as integral Decimals, with no digit limit.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from .construct import (
     realize_cycle_type,
 )
 from .local import check_everywhere_local, check_local, support_primes
-from .realizability import check_realizable, orbit_counts
+from .realizability import _records, check_realizable
 from .sequences import (
     LinearRecurrence,
     Seq,
@@ -71,18 +68,18 @@ ENV_POINT_CAP = "REALIZE_POINT_CAP"
 # ---------------------------------------------------------------- helpers
 
 
-def _read_bfile(path: str, term=int) -> Seq:
+def _read_bfile(path: str) -> Seq:
     with open(path, "rb") as fh:
-        return seqio.parse_bfile(_ascii(fh.read()), _term=term)
+        return seqio.parse_bfile(_ascii(fh.read()), _term=seqio._decimal_term)
 
 
-def _read_input(path: str, term) -> Seq:
+def _read_input(path: str) -> Seq:
     if path != "-":
-        return _read_bfile(path, term)
+        return _read_bfile(path)
     # the bytes of stdin, decoded like a file's and not with the locale's
     # codec (an in-memory text stream has no buffer)
     stdin = getattr(sys.stdin, "buffer", sys.stdin)
-    return seqio.parse_bfile(_ascii(stdin.read()), _term=term)
+    return seqio.parse_bfile(_ascii(stdin.read()), _term=seqio._decimal_term)
 
 
 def _ascii(data: bytes | str) -> str:
@@ -201,14 +198,16 @@ def _cmd_check(args: argparse.Namespace, a: Seq) -> tuple[str | Iterable[str], i
     return text, 0 if report.consistent else 1
 
 
-def _cmd_orbits(args: argparse.Namespace, a: Seq) -> tuple[str, int]:
+def _cmd_orbits(args: argparse.Namespace, a: Seq) -> tuple[Iterable[str], int]:
     N = _horizon(a, args.terms)
-    counts = orbit_counts(a, N)
+    a.require_horizon(N)
+    records = _records(a, N)
+    counts = map(seqio._orbit_count_text, records)
     if args.json:
-        text = seqio.dumps_doc(seqio.orbit_counts_doc(counts))
+        text = seqio._doc_chunks({"horizon": N, "orbit_counts": list(counts)})
     else:
-        text = "".join(f"{n} {counts[n]}\n" for n in range(1, N + 1))
-    return text, 0 if all(b.denominator == 1 and b >= 0 for b in counts) else 1
+        text = (f"{n} {count}\n" for n, count in enumerate(counts, start=1))
+    return text, 0 if all(r.ok for r in records) else 1
 
 
 def _cmd_local(args: argparse.Namespace, a: Seq) -> tuple[str, int]:
@@ -242,7 +241,7 @@ def _cmd_sample(args: argparse.Namespace, a: Seq) -> tuple[str, int]:
             raise ValueError("--monomial exponent must be >= 1")
         h = Monomial(args.monomial)
     else:
-        h = ExplicitTable(args.table.terms)
+        h = ExplicitTable(tuple(map(int, args.table.terms)))
     N = _positive_terms(args.terms) if args.terms is not None else _fit(h, len(a))
     if N == 0:
         raise ValueError(
@@ -285,7 +284,8 @@ def _cmd_realize(args: argparse.Namespace, a: Seq) -> tuple[str, int]:
             cap = int(os.environ.get(ENV_POINT_CAP, DEFAULT_POINT_CAP))
         if cap < 0:
             raise ValueError("--explicit cap must be >= 0")
-        doc = {"cycle_type": doc, "permutation": explicit_permutation(ct, cap)}
+        perm = explicit_permutation(ct, cap)  # within the cap, every count is small
+        doc = {"cycle_type": {k: int(v) for k, v in doc.items()}, "permutation": perm}
     return seqio.dumps_doc(doc), 0
 
 
@@ -310,11 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_io(
         p: argparse.ArgumentParser,
-        term=int,
         terms_help: str | None = "horizon (default: input length)",
     ) -> None:
-        """Input, --terms (unless terms_help is None) and --out; ``term``
-        reads each a_n of the input: int, or seqio._decimal_term."""
+        """Input, --terms (unless terms_help is None) and --out."""
         p.add_argument(
             "input",
             nargs="?",
@@ -324,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
         if terms_help is not None:
             p.add_argument("--terms", type=int, metavar="N", help=terms_help)
         p.add_argument("--out", metavar="PATH", help="write output here, not stdout")
-        p.set_defaults(term=term)
 
     gen = sub.add_parser("gen", help="generate a named sequence family as a b-file")
     genfam = gen.add_subparsers(dest="family", required=True, metavar="FAMILY")
@@ -336,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
         fam.set_defaults(func=_cmd_gen, build=build)
 
     check = sub.add_parser("check", help="test conditions (D) and (S) up to a horizon")
-    add_io(check, seqio._decimal_term)
+    add_io(check)
     check.add_argument("--json", action="store_true", help="full report document")
     check.set_defaults(func=_cmd_check)
 
@@ -356,11 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     local.set_defaults(func=_cmd_local)
 
     samp = sub.add_parser("sample", help="time change a_n -> a_{h(n)}")
-    add_io(
-        samp,
-        seqio._decimal_term,
-        "horizon (default: the largest N whose sampling indices fit in the input)",
-    )
+    add_io(samp, "horizon (default: the largest N whose sampling indices fit in the input)")
     hgroup = samp.add_mutually_exclusive_group(required=True)
     hgroup.add_argument("--monomial", type=int, metavar="K", help="h(n) = n^K")
     hgroup.add_argument(
@@ -379,14 +372,14 @@ def build_parser() -> argparse.ArgumentParser:
     power.set_defaults(func=_cmd_power)
 
     sc = sub.add_parser("scale", help="multiply every term by a constant")
-    add_io(sc, seqio._decimal_term, terms_help=None)
+    add_io(sc, terms_help=None)
     sc.add_argument("--mult", type=int, required=True, metavar="C")
     sc.set_defaults(func=_cmd_scale)
 
     mult = sub.add_parser(
         "multiplier", help="least C making (C a_n) satisfy condition (D)"
     )
-    add_io(mult, seqio._decimal_term)
+    add_io(mult)
     mult.add_argument("--json", action="store_true")
     mult.set_defaults(func=_cmd_multiplier)
 
@@ -422,7 +415,7 @@ def main(argv: ArgSeq[str] | None = None) -> int:
     except SystemExit as exit_:  # argparse prints usage itself; exit code 2 on misuse
         return int(exit_.code or 0)
     try:
-        a = _read_input(args.input, args.term) if "input" in args else None
+        a = _read_input(args.input) if "input" in args else None
         if getattr(args, "table", None) is not None:  # sample's second b-file
             args.table = _read_bfile(args.table)
         text, code = args.func(args, a)

@@ -9,9 +9,10 @@ theory: a horizon certificate made of actual points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import localcontext
 
 from .realizability import check_realizable
-from .sequences import Seq
+from .sequences import EXACT_CONTEXT, Seq, _digit_count, _integral
 
 __all__ = [
     "CycleType",
@@ -47,7 +48,7 @@ class CycleType:
     Zero counts are dropped at construction; lengths are kept ascending.
     """
 
-    counts: dict[int, int]
+    counts: dict[int, int]  # the counts are integral like Seq terms: int or Decimal
 
     def __post_init__(self) -> None:
         cleaned: dict[int, int] = {}
@@ -55,7 +56,7 @@ class CycleType:
             count = self.counts[length]
             if not isinstance(length, int) or length < 1:
                 raise ValueError(f"cycle lengths are positive ints, got {length!r}")
-            if not isinstance(count, int) or count < 0:
+            if not _integral(count) or count < 0:
                 raise ValueError(f"cycle counts are non-negative ints, got {count!r}")
             if count:
                 cleaned[length] = count
@@ -63,7 +64,8 @@ class CycleType:
 
     @property
     def total_points(self) -> int:
-        return sum(length * count for length, count in self.counts.items())
+        with localcontext(EXACT_CONTEXT):
+            return sum(length * count for length, count in self.counts.items())
 
     def __iter__(self):
         return iter(self.counts.items())
@@ -86,12 +88,8 @@ def realize_cycle_type(a: Seq, N: int) -> CycleType:
             n=n,
             condition=condition,
         )
-    counts = {}
-    for record in report.records:
-        b = record.dold_value // record.n
-        if b:
-            counts[record.n] = b
-    return CycleType(counts)
+    with localcontext(EXACT_CONTEXT):
+        return CycleType({r.n: r.dold_value // r.n for r in report.records})
 
 
 def fixed_points(ct: CycleType, n: int) -> int:
@@ -104,7 +102,8 @@ def fixed_points(ct: CycleType, n: int) -> int:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    return sum(length * count for length, count in ct.counts.items() if n % length == 0)
+    with localcontext(EXACT_CONTEXT):
+        return sum(length * count for length, count in ct if n % length == 0)
 
 
 def fix_count_sequence(ct: CycleType, N: int, label: str = "") -> Seq:
@@ -132,13 +131,13 @@ def explicit_permutation(ct: CycleType, cap: int = DEFAULT_POINT_CAP) -> list[in
     """
     total = ct.total_points
     if total > cap:
-        raise ValueError(
-            f"cycle type needs {total} points, exceeding the cap of {cap}"
-        )
-    succ = [0] * total
+        digits = _digit_count(total)
+        points = total if digits <= 40 else f"a {digits:,}-digit number of"
+        raise ValueError(f"cycle type needs {points} points, exceeding the cap of {cap}")
+    succ = [0] * int(total)
     next_label = 1
     for length, count in ct.counts.items():
-        for _ in range(count):
+        for _ in range(int(count)):
             first = next_label
             for offset in range(length):
                 point = first + offset

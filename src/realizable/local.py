@@ -10,10 +10,11 @@ trivially consistent, so only the support primes are worth a report.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import localcontext
 
 from .numtheory import factorize, is_prime, padic_valuation
 from .realizability import RealizabilityReport, check_realizable
-from .sequences import Seq
+from .sequences import EXACT_CONTEXT, Seq, _digit_count
 
 __all__ = [
     "LocalReport",
@@ -22,6 +23,8 @@ __all__ = [
     "support_primes",
     "check_everywhere_local",
 ]
+
+_FACTOR_DIGITS = 4300  # support_primes factors no longer term
 
 
 @dataclass(frozen=True)
@@ -41,7 +44,7 @@ def p_part(a: Seq, p: int) -> Seq:
     """Termwise p-part: p^(v_p(a_n)).
 
     Zero terms are rejected here even though the global checker accepts
-    them: v_p(0) is infinite, so a zero has no p-part.
+    them: v_p(0) is infinite, so a zero has no p-part.  p-parts are ints.
 
     >>> p_part(Seq((1, 1, 1, 1, 6)), 2).terms
     (1, 1, 1, 1, 2)
@@ -49,10 +52,9 @@ def p_part(a: Seq, p: int) -> Seq:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     _reject_nonpositive(a, "p-part localization")
-    return Seq(
-        tuple(p ** padic_valuation(t, p) for t in a.terms),
-        label=f"{p}-part({a.label})" if a.label else f"{p}-part",
-    )
+    with localcontext(EXACT_CONTEXT):
+        parts = tuple(p ** padic_valuation(t, p) for t in a.terms)
+    return Seq(parts, label=f"{p}-part({a.label})" if a.label else f"{p}-part")
 
 
 def check_local(a: Seq, p: int, N: int) -> LocalReport:
@@ -65,14 +67,17 @@ def support_primes(a: Seq, N: int) -> list[int]:
     """Every prime dividing at least one of a_1..a_N, ascending.
 
     Factors the values by trial division with a rho fallback, so it is meant
-    for smooth or modest terms; localizing at a *given* prime never needs
-    this and stays cheap even for huge terms.
+    for smooth or modest terms, and refuses any of over 4,300 digits first;
+    localizing at a *given* prime never needs this, even for huge terms.
 
     >>> support_primes(Seq((1, 3, 4, 7, 11, 18)), 6)
     [2, 3, 7, 11]
     """
     a.require_horizon(N)
     _reject_nonpositive(a, "support scan")
+    for n in range(1, N + 1):
+        if (digits := _digit_count(a[n])) > _FACTOR_DIGITS:
+            raise ValueError(f"a_{n} has {digits:,} digits, too many to factor (max 4,300)")
     primes: set[int] = set()
     for n in range(1, N + 1):
         if a[n] > 1:

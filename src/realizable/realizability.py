@@ -112,7 +112,7 @@ def orbit_counts(a: Seq, N: int) -> RatSeq:
     """
     a.require_horizon(N)
     return RatSeq(
-        tuple(Fraction(v, n) for n, v in enumerate(_dold_values(a, N), start=1)),
+        tuple(Fraction(int(r.dold_value), r.n) for r in _records(a, N)),
         label=f"orbits({a.label})" if a.label else "orbits",
     )
 

@@ -19,8 +19,8 @@ from typing import Any, Callable, Iterator
 
 from .construct import CycleType
 from .local import LocalReport
-from .realizability import RealizabilityReport, _verdict
-from .sequences import RatSeq, Seq
+from .realizability import DoldRecord, RealizabilityReport, _verdict
+from .sequences import EXACT_CONTEXT, RatSeq, Seq
 from .transforms import MultiplierReport
 
 __all__ = [
@@ -56,7 +56,8 @@ def parse_bfile(
     ``_term`` reads each a_n: int, or _decimal_term.
     """
     terms: list = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines := text.splitlines(), start=1):
+        lines[lineno - 1] = None  # freed once read: a line and its term never coexist
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -185,6 +186,13 @@ def orbit_counts_doc(counts: RatSeq) -> dict[str, Any]:
     }
 
 
+def _orbit_count_text(r: DoldRecord) -> str:
+    """str(Fraction(D_n, n)), as (D_n // g)/(n // g), g = gcd(D_n mod n, n)."""
+    g = math.gcd(r.dold_mod_n, r.n)
+    count = EXACT_CONTEXT.divide_int(r.dold_value, g) if g > 1 else r.dold_value
+    return str(count) if g == r.n else f"{count}/{r.n // g}"
+
+
 def local_doc(horizon: int, reports: list[LocalReport]) -> dict[str, Any]:
     """Combined document for per-prime localization checks.
 
@@ -256,6 +264,8 @@ def _doc_chunks(doc: dict[str, Any]) -> Iterator[str]:
                 yield f"{sep}\n    {{\n      {_ENCODE_FLAT_ITEM(item)[1:-1]}\n    }}"
                 sep = ","
             yield "\n  ]"
+        elif isinstance(value, Decimal):
+            yield str(value)
         else:
             yield _ENCODE(value).replace("\n", "\n  ")
     yield "\n}\n"

@@ -6,10 +6,7 @@ paper.  All terms are exact: Python ints, or Fractions for rational data.
 Integer prefixes may also hold integral ``decimal.Decimal`` terms, whose
 conversion to and from decimal text is linear and has no digit limit.  The
 kernels that compute on terms run on them under ``EXACT_CONTEXT`` whatever
-the caller's context, except four that still need ints (ROADMAP item 1):
-``orbit_counts`` raises TypeError, ``p_part`` and ``check_local`` raise
-DivisionImpossible on terms past 28 digits, and ``realize_cycle_type``
-raises ValueError.
+the caller's context.
 """
 
 from __future__ import annotations
@@ -28,6 +25,7 @@ from decimal import (
 )
 from fractions import Fraction
 from itertools import islice
+from math import log10
 from typing import Iterator
 
 from .numtheory import primes_upto
@@ -79,6 +77,19 @@ class InsufficientPrefixError(ValueError):
         self.required = required
 
 
+def _integral(t) -> bool:
+    """An int, or a finite Decimal with exponent 0."""
+    return isinstance(t, int) or isinstance(t, Decimal) and t.same_quantum(_ONE)
+
+
+def _digit_count(x: int | Decimal) -> int:
+    """Decimal digits of the integer |x|, from its size alone (no str())."""
+    if isinstance(x, Decimal):
+        return x.adjusted() + 1
+    d = max(1, int(abs(x).bit_length() * log10(2)))  # |x| has d or d + 1 digits
+    return d + (abs(x) >= 10**d)
+
+
 class _Prefix:
     """Shared 1-indexed access for Seq and RatSeq; subclasses hold ``terms``."""
 
@@ -126,12 +137,8 @@ class Seq(_Prefix):
         if not terms:
             raise ValueError("a sequence prefix needs at least one term")
         for t in terms:
-            if isinstance(t, int):
-                continue
-            if not isinstance(t, Decimal):
-                raise TypeError(f"terms must be ints, got {type(t).__name__}")
-            if not t.same_quantum(_ONE):  # NaN, infinity or a nonzero exponent
-                raise TypeError(f"Decimal terms need exponent 0, got {t}")
+            if not isinstance(t, int) and not _integral(t):  # ints skip a call
+                raise TypeError(f"terms are ints or Decimals with exponent 0, got {t!r}")
         object.__setattr__(self, "terms", terms)
 
 

@@ -22,6 +22,7 @@ from .sequences import (
     InsufficientPrefixError,
     LinearRecurrence,
     Seq,
+    _digit_count,
     linear_recurrence_term,
 )
 
@@ -158,13 +159,15 @@ def sample(a: Seq, h: TimeChange, N: int) -> Seq:
     if N < 1:
         raise ValueError("need N >= 1")
     if N > _fit(h, len(a)):
-        # an N^k of more than 40 digits is named as a power, and one of more
-        # than 4,300 digits, past what str() prints, is not built
+        # past 40 digits a length is named as N^k or by its digit count
         log_need = h.k * log10(N) if isinstance(h, Monomial) else 0
         need = None if log_need >= 4300 else required_source_length(h, N)
+        if log_need < 40 and _digit_count(need) > 40:  # a table entry
+            length = f"a {_digit_count(need):,}-digit length"
+        else:
+            length = f"length {N}^{h.k}" if log_need >= 40 else f"length {need}"
         raise InsufficientPrefixError(
-            f"sampling to N={N} needs a source prefix of length "
-            f"{f'{N}^{h.k}' if log_need >= 40 else need}, "
+            f"sampling to N={N} needs a source prefix of {length}, "
             f"but only {len(a)} terms are available",
             required=need,
         )

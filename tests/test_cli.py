@@ -1,3 +1,4 @@
+import argparse
 import decimal
 import io
 import json
@@ -478,24 +479,96 @@ def test_non_ascii_bytes_on_stdin_are_refused_like_a_file(data, tmp_path):
     assert results[0].stderr == results[1].stderr
 
 
-def test_the_decimal_paths_have_no_digit_limit(tmp_path, capsys, monkeypatch):
-    # L_n passes CPython's 4,300-digit int<->str limit near n = 20,600
-    monkeypatch.chdir(tmp_path)
-    assert run_cli(["gen", "fiblike", "3", "--terms", "21000", "--out", "l.b"], capsys, monkeypatch)[:2] == (0, "")
-    last = Path("l.b").read_text().splitlines()[-1].split()
-    assert last[0] == "21000" and len(last[1]) > 4300
-    lucas = fibonacci_like(3, 21000)[21000]
+# one value per command is checked mod these primes: its terms pass CPython's
+# 4,300-digit int<->str limit
+PRIMES = (10**9 + 7, 998244353, 2**61 - 1)
+
+
+def residues(text):
+    """A decimal integer's text mod each of PRIMES, read through Decimal."""
     with decimal.localcontext(EXACT_CONTEXT):
-        for p in (10**9 + 7, 998244353, 2**61 - 1):
-            assert int(Decimal(last[1]) % p) == lucas % p
-    code, out, _ = run_cli(["check", "l.b"], capsys, monkeypatch)
+        return [int(Decimal(text) % p) for p in PRIMES]
+
+
+@pytest.fixture(scope="module")
+def lucas_21000(tmp_path_factory):
+    """The b-file of L_1..L_21000, whose last terms pass 4,300 digits (from
+    n = 20,576), and the terms as ints."""
+    path = tmp_path_factory.mktemp("lucas") / "l.b"
+    assert main(["gen", "fiblike", "3", "--terms", "21000", "--out", str(path)]) == 0
+    return path, fibonacci_like(3, 21000).terms
+
+
+def test_the_decimal_paths_have_no_digit_limit(lucas_21000, capsys, monkeypatch):
+    path, lucas = lucas_21000
+    last = path.read_text().splitlines()[-1].split()
+    assert last[0] == "21000" and len(last[1]) > 4300
+    assert residues(last[1]) == [lucas[-1] % p for p in PRIMES]
+    code, out, _ = run_cli(["check", str(path)], capsys, monkeypatch)
     assert (code, out.split(" (")[0]) == (0, "consistent up to N=21000")
-    code, sampled, _ = run_cli(["sample", "l.b", "--monomial", "2"], capsys, monkeypatch)
+    code, sampled, _ = run_cli(["sample", str(path), "--monomial", "2"], capsys, monkeypatch)
     assert code == 0 and sampled.count("\n") == 144  # 144^2 <= 21000 < 145^2
     code, scaled, _ = run_cli(["scale", "--mult", "5"], capsys, monkeypatch, stdin_text=sampled)
     assert code == 0
     with decimal.localcontext(EXACT_CONTEXT):
         assert scaled.splitlines()[-1] == f"144 {5 * Decimal(sampled.split()[-1])}"
+
+
+def input_commands():
+    """Every subcommand that reads a b-file, as the parser defines them."""
+    (commands,) = (
+        action.choices
+        for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return [name for name, p in commands.items() if any(a.dest == "input" for a in p._actions)]
+
+
+def line_value(out, n):
+    """a_n of a b-file text."""
+    return out.splitlines()[n - 1].split()[1]
+
+
+# command -> (options, value checked and its expected int, from the output,
+# the int terms and D_n at n = 20,999).  A command missing here runs with no
+# options, and only its exit code is checked.
+INPUT_COMMAND_CASES = {
+    "check": (["--json"], lambda out, a, D: (json.loads(out)["records"][-2]["dold_value"], D)),
+    "orbits": ([], lambda out, a, D: (line_value(out, 20999), D // 20999)),
+    "local": (
+        ["--prime", "2", "--json"],
+        lambda out, a, D: (json.loads(out)["local_reports"][0]["p_part"][20998], a[20998] & -a[20998]),
+    ),
+    "sample": (["--monomial", "2"], lambda out, a, D: (line_value(out, 144), a[144**2 - 1])),
+    "power": (["--poly", "1"], lambda out, a, D: (line_value(out, 20999), a[20998])),
+    "scale": (["--mult", "5"], lambda out, a, D: (line_value(out, 20999), 5 * a[20998])),
+    "multiplier": (
+        ["--json"],
+        lambda out, a, D: (json.loads(out)["multiplier"]["denominators"][20998], 20999 // math.gcd(D, 20999)),
+    ),
+    "realize": ([], lambda out, a, D: (json.loads(out, parse_int=str)["20999"], D // 20999)),
+}
+
+
+@pytest.mark.parametrize("command", input_commands())
+def test_every_input_command_answers_past_the_digit_limit(command, lucas_21000, capsys, monkeypatch):
+    path, lucas = lucas_21000
+    options, value = INPUT_COMMAND_CASES.get(command, ([], None))
+    code, out, err = run_cli([command, str(path), *options], capsys, monkeypatch)
+    assert code in (0, 1) and err == ""
+    if value is not None:
+        got, want = value(out, lucas, naive_dold(lucas, 20999))
+        assert residues(str(got)) == [want % p for p in PRIMES]
+
+
+def test_local_all_refuses_a_term_past_its_factoring_bound_by_size(lucas_21000, capsys, monkeypatch):
+    path, _ = lucas_21000
+    n = next(i for i, line in enumerate(path.read_text().splitlines(), 1) if len(line.split()[1]) > 4300)
+    start = time.perf_counter()
+    code, out, err = run_cli(["local", "--all", str(path)], capsys, monkeypatch)
+    assert time.perf_counter() - start < 3  # parsing 21,000 terms included
+    assert (code, out) == (2, "")
+    assert err == f"error: a_{n} has 4,301 digits, too many to factor (max 4,300)\n"
 
 
 def test_multiplier_prints_values_past_the_str_digit_limit(tmp_path, capsys, monkeypatch):
@@ -563,13 +636,42 @@ def test_sample_default_horizon_matches_a_scan(k, have, capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", [["orbits"], ["local", "--all"], ["realize"], ["power", "--poly", "1"]])
 def test_an_int_past_the_digit_limit_gets_a_short_refusal(command, capsys, monkeypatch):
-    line = "2 " + "7" * 4301
-    code, out, err = run_cli(command, capsys, monkeypatch, stdin_text=f"1 1\n{line}\n")
-    assert (code, out) == (2, "")
+    # every command reads the term, and only local --all, which would factor
+    # it, refuses: at once, from its size
+    big, half = "7" * 4301, "3" + "8" * 4300  # a_2 and D_2 / 2 = (a_2 - 1) / 2
+    answers = {
+        "orbits": f"1 1\n2 {half}\n",
+        "realize": f'{{\n  "1": 1,\n  "2": {half}\n}}\n',
+        "power": f"1 1\n2 {big}\n",
+    }
+    start = time.perf_counter()
+    code, out, err = run_cli(command, capsys, monkeypatch, stdin_text=f"1 1\n2 {big}\n")
+    if command[0] in answers:
+        assert (code, out, err) == (0, answers[command[0]], "")
+    else:
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "") and len(err.encode()) < 200
+        assert err == "error: a_2 has 4,301 digits, too many to factor (max 4,300)\n"
+
+
+def test_realize_writes_a_long_total_past_the_cap_by_its_digits(capsys, monkeypatch):
+    argv = ["realize", "--explicit", "5"]
+    code, out, err = run_cli(argv, capsys, monkeypatch, stdin_text=f"1 1\n2 {'7' * 4301}\n")
+    assert (code, out) == (2, "") and len(err.encode()) < 200
+    assert err == "error: cycle type needs a 4,301-digit number of points, exceeding the cap of 5\n"
+
+
+def test_sample_writes_a_long_table_length_by_its_digits(tmp_path, capsys, monkeypatch):
+    table = tmp_path / "h.b"
+    table.write_text(f"1 1\n2 {'7' * 4301}\n", encoding="ascii")
+    argv = ["sample", "--table", str(table), "--terms", "2"]
+    code, out, err = run_cli(argv, capsys, monkeypatch, stdin_text=LUCAS10)
+    assert (code, out) == (2, "") and len(err.encode()) < 200
     assert err == (
-        f"error: line 2: expected two integers, got {line[:40]!r}... (a field of 4,301 "
-        "digits; past CPython's 4,300-digit limit on int())\n"
+        "error: sampling to N=2 needs a source prefix of a 4,301-digit length, "
+        "but only 10 terms are available\n"
     )
+    assert run_cli(argv[:-2], capsys, monkeypatch, stdin_text=LUCAS10) == (0, "1 1\n", "")
 
 
 def test_a_report_that_fails_while_written_leaves_no_out_file(tmp_path, capsys, monkeypatch):

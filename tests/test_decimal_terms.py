@@ -3,18 +3,33 @@ the kernels the command line runs on Decimals, each against the int path."""
 
 import decimal
 import json
+import time
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from realizable.construct import realize_cycle_type
-from realizable.local import check_everywhere_local, support_primes
-from realizable.realizability import check_realizable, divisibility_check, dold_transform, orbit_counts
+from realizable.construct import (
+    CycleType,
+    explicit_permutation,
+    fixed_points,
+    realize_cycle_type,
+    verify_realization,
+)
+from realizable.local import check_everywhere_local, check_local, p_part, support_primes
+from realizable.realizability import (
+    _records,
+    check_realizable,
+    divisibility_check,
+    dold_transform,
+    orbit_counts,
+)
 from realizable.seqio import (
     _decimal_term,
     _doc_chunks,
+    _orbit_count_text,
     cycle_type_doc,
     dumps_doc,
     format_bfile,
@@ -206,6 +221,81 @@ def test_int_calls_still_return_ints():
     assert all(type(r.dold_value) is int for r in report.records)
     assert type(minimal_multiplier(fibonacci_like(1, 12), 12).multiplier) is int
     assert all(type(t) is int for t in scale(fibonacci_like(3, 9), 5).terms)
+
+
+def test_int_calls_of_the_derived_views_return_ints():
+    a = fibonacci_like(3, 12)
+    assert all(type(b.numerator) is int for b in orbit_counts(a, 12))
+    assert all(type(c) is int for c in realize_cycle_type(a, 12).counts.values())
+    assert all(type(t) is int for t in p_part(a, 2).terms)
+
+
+@given(prefixes, st.data())
+def test_orbit_counts_realizations_and_p_parts_agree_on_decimal_terms(terms, data):
+    N = data.draw(st.integers(min_value=1, max_value=len(terms)))
+    ints, decs = Seq(tuple(terms)), decimals(terms)
+    assert orbit_counts(decs, N) == orbit_counts(ints, N)
+    if check_realizable(ints, N).consistent:
+        ct = realize_cycle_type(decs, N)
+        assert ct == realize_cycle_type(ints, N)
+        assert dumps_doc(cycle_type_doc(ct)) == json_reference(cycle_type_doc(realize_cycle_type(ints, N)))
+    if 0 not in terms:
+        parts = p_part(decs, 2).terms
+        assert parts == p_part(ints, 2).terms and all(type(t) is int for t in parts)
+
+
+@pytest.mark.parametrize("context", CONTEXTS)
+def test_decimal_orbit_counts_and_cycle_types_are_exact_in_any_context(context):
+    # D_2 = 2 * 10**40 + 2: at prec 28 its halves and the p-parts round
+    with localcontext(EXACT_CONTEXT):
+        a = Seq((Decimal(2), Decimal(2 * 10**40 + 4), Decimal(8)))
+    with localcontext(context):
+        assert orbit_counts(a, 3).terms == (2, 10**40 + 1, 2)
+        ct = realize_cycle_type(a, 3)
+        assert ct.counts == {1: 2, 2: 10**40 + 1, 3: 2}
+        assert check_local(a, 2, 3).p_part_sequence.terms == (2, 4, 8)
+        assert decimal.getcontext().prec == context.prec
+
+
+def test_decimal_cycle_counts_past_28_digits_are_exact():
+    # at prec 28, 3 * (10**35 + 1) rounds to 3.000...E+35
+    ct = CycleType({1: Decimal(1), 3: Decimal(10**35 + 1)})
+    total = 3 * 10**35 + 4
+    with localcontext(decimal.Context()):
+        assert ct.total_points == total
+        assert [fixed_points(ct, n) for n in (1, 2, 3, 6)] == [1, 1, total, total]
+        assert verify_realization(ct, Seq((1, 1, total)), 3)
+        assert not verify_realization(ct, Seq((1, 1, total - 1)), 3)
+        with pytest.raises(ValueError, match=f"^cycle type needs {total} points, exceeding the cap of 10$"):
+            explicit_permutation(ct, 10)
+    assert explicit_permutation(CycleType({1: Decimal(1), 2: Decimal(2)})) == [1, 3, 2, 5, 4]
+
+
+def test_cycle_types_refuse_non_integral_decimal_counts():
+    for bad in ("1.5", "1E+5", "NaN", "Infinity", "-1"):
+        with pytest.raises(ValueError):
+            CycleType({1: Decimal(bad)})
+
+
+@pytest.mark.parametrize("as_decimal", [False, True])
+def test_support_primes_refuses_a_term_past_the_factoring_bound_by_size(as_decimal):
+    big = "1" + "0" * 4299 + "1"  # 4,301 digits
+    a = Seq((_decimal_term("6"), _decimal_term(big))) if as_decimal else Seq((6, 10**4300 + 1))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^a_2 has 4,301 digits, too many to factor \(max 4,300\)$"):
+        support_primes(a, 2)
+    assert time.perf_counter() - start < 1
+    assert support_primes(a, 1) == [2, 3]
+
+
+@given(
+    st.lists(st.integers(min_value=-(10**40), max_value=10**40), min_size=1, max_size=40),
+    st.booleans(),
+)
+def test_orbit_count_text_is_the_reduced_fraction(terms, as_decimal):
+    a = decimals(terms) if as_decimal else Seq(tuple(terms))
+    texts = [_orbit_count_text(r) for r in _records(a, len(terms))]
+    assert texts == [str(Fraction(naive_dold(terms, n), n)) for n in range(1, len(terms) + 1)]
 
 
 def test_negative_dold_values_give_least_residues():
