@@ -41,6 +41,8 @@ from .realizability import _records, check_realizable
 from .sequences import (
     LinearRecurrence,
     Seq,
+    _int_text,
+    _quoted,
     euler_abs_sequence,
     fibonacci_like,
     irregular_primes,
@@ -54,7 +56,6 @@ from .transforms import (
     Monomial,
     _checked_multiplier,
     _fit,
-    required_source_length,
     sample,
     scale,
     term_power,
@@ -188,9 +189,8 @@ def _cmd_check(args: argparse.Namespace, a: Seq) -> tuple[str | Iterable[str], i
             "check can refute realizability, never prove it)\n"
         )
     else:
-        n, _ = report.first_failure
-        record = report.records[n - 1]
-        detail = f"Dold value {record.dold_value}, residue {record.dold_mod_n} mod {n}"
+        r = report.records[report.first_failure[0] - 1]
+        detail = f"Dold value {_int_text(r.dold_value)}, residue {r.dold_mod_n} mod {r.n}"
         text = (
             f"{_describe_failure(report.first_failure)} ({detail}); verdict: "
             f"{report.verdict}\n"
@@ -241,13 +241,11 @@ def _cmd_sample(args: argparse.Namespace, a: Seq) -> tuple[str, int]:
             raise ValueError("--monomial exponent must be >= 1")
         h = Monomial(args.monomial)
     else:
-        h = ExplicitTable(tuple(map(int, args.table.terms)))
+        h = ExplicitTable(args.table.terms)
     N = _positive_terms(args.terms) if args.terms is not None else _fit(h, len(a))
     if N == 0:
-        raise ValueError(
-            f"source prefix too short even for N=1 "
-            f"(needs {required_source_length(h, 1)} terms)"
-        )
+        need = _quoted(h.values[0], "terms")
+        raise ValueError(f"source prefix too short even for N=1 (needs {need})")
     return seqio.format_bfile(sample(a, h, N)), 0
 
 
@@ -267,7 +265,7 @@ def _cmd_multiplier(args: argparse.Namespace, a: Seq) -> tuple[str | Iterable[st
     if args.json:
         text = seqio._doc_chunks(seqio.multiplier_doc(report, mult))
     else:
-        value = seqio._int_text(mult.multiplier)
+        value = _int_text(mult.multiplier)
         text = (
             f"minimal multiplier for condition (D) up to N={N}: {value}\n"
             f"sign condition (S) holds: {'yes' if mult.sign_ok else 'no'}\n"

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from decimal import localcontext
 
 from .realizability import check_realizable
-from .sequences import EXACT_CONTEXT, Seq, _digit_count, _integral
+from .sequences import EXACT_CONTEXT, Seq, _integral, _quoted
 
 __all__ = [
     "CycleType",
@@ -131,9 +131,8 @@ def explicit_permutation(ct: CycleType, cap: int = DEFAULT_POINT_CAP) -> list[in
     """
     total = ct.total_points
     if total > cap:
-        digits = _digit_count(total)
-        points = total if digits <= 40 else f"a {digits:,}-digit number of"
-        raise ValueError(f"cycle type needs {points} points, exceeding the cap of {cap}")
+        points = _quoted(total, "points")
+        raise ValueError(f"cycle type needs {points}, exceeding the cap of {cap}")
     succ = [0] * int(total)
     next_label = 1
     for length, count in ct.counts.items():

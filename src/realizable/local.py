@@ -14,7 +14,7 @@ from decimal import localcontext
 
 from .numtheory import factorize, is_prime, padic_valuation
 from .realizability import RealizabilityReport, check_realizable
-from .sequences import EXACT_CONTEXT, Seq, _digit_count
+from .sequences import EXACT_CONTEXT, Seq, _digit_count, _refuse_below
 
 __all__ = [
     "LocalReport",
@@ -25,6 +25,10 @@ __all__ = [
 ]
 
 _FACTOR_DIGITS = 4300  # support_primes factors no longer term
+_POSITIVE = (
+    " needs strictly positive terms; a_{n} = {t} "
+    "(zeros pass the global check but have no p-part)"
+)
 
 
 @dataclass(frozen=True)
@@ -51,7 +55,7 @@ def p_part(a: Seq, p: int) -> Seq:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    _reject_nonpositive(a, "p-part localization")
+    _refuse_below(a, 1, "p-part localization" + _POSITIVE)
     with localcontext(EXACT_CONTEXT):
         parts = tuple(p ** padic_valuation(t, p) for t in a.terms)
     return Seq(parts, label=f"{p}-part({a.label})" if a.label else f"{p}-part")
@@ -74,7 +78,7 @@ def support_primes(a: Seq, N: int) -> list[int]:
     [2, 3, 7, 11]
     """
     a.require_horizon(N)
-    _reject_nonpositive(a, "support scan")
+    _refuse_below(a, 1, "support scan" + _POSITIVE)
     for n in range(1, N + 1):
         if (digits := _digit_count(a[n])) > _FACTOR_DIGITS:
             raise ValueError(f"a_{n} has {digits:,} digits, too many to factor (max 4,300)")
@@ -93,12 +97,3 @@ def check_everywhere_local(a: Seq, N: int) -> list[LocalReport]:
     their p-part is identically one.
     """
     return [check_local(a, p, N) for p in support_primes(a, N)]
-
-
-def _reject_nonpositive(a: Seq, what: str) -> None:
-    for i, t in enumerate(a.terms, start=1):
-        if t <= 0:
-            raise ValueError(
-                f"{what} needs strictly positive terms; a_{i} = {t} "
-                "(zeros pass the global check but have no p-part)"
-            )

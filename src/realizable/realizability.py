@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .numtheory import divisors, mobius, primes_upto
-from .sequences import EXACT_CONTEXT, InsufficientPrefixError, RatSeq, Seq
+from .sequences import EXACT_CONTEXT, InsufficientPrefixError, RatSeq, Seq, _refuse_below
 
 __all__ = [
     "VERDICT_CONSISTENT",
@@ -124,7 +124,7 @@ def check_realizable(a: Seq, N: int) -> RealizabilityReport:
     negative; reject rather than guess what a signed input means).
     """
     a.require_horizon(N)
-    _reject_negative_terms(a)
+    _refuse_below(a, 0, "fixed-point counts are non-negative; a_{n} = {t} is signed input")
     records = _records(a, N)
     first = next((r for r in records if not r.ok), None)
     # what fails at one index is the suffix of its own verdict: "D", "S" or "both"
@@ -202,11 +202,3 @@ def _verdict(records: Sequence[DoldRecord]) -> str:
     if s_violated:
         return VERDICT_FAILS_S
     return VERDICT_CONSISTENT
-
-
-def _reject_negative_terms(a: Seq) -> None:
-    for i, t in enumerate(a.terms, start=1):
-        if t < 0:
-            raise ValueError(
-                f"fixed-point counts are non-negative; a_{i} = {t} is signed input"
-            )

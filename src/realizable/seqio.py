@@ -20,7 +20,7 @@ from typing import Any, Callable, Iterator
 from .construct import CycleType
 from .local import LocalReport
 from .realizability import DoldRecord, RealizabilityReport, _verdict
-from .sequences import EXACT_CONTEXT, RatSeq, Seq
+from .sequences import EXACT_CONTEXT, _QUOTED_DIGITS, RatSeq, Seq, _int_text
 from .transforms import MultiplierReport
 
 __all__ = [
@@ -35,9 +35,6 @@ __all__ = [
 ]
 
 _LEADING_DIGITS = Context(prec=20)
-# a refused line longer than this is quoted in part, so that a term of
-# thousands of digits does not fill the message
-_SHOWN_CHARS = 40
 _ENCODE = json.JSONEncoder(indent=2, ensure_ascii=True).encode
 # a dict of scalars as an item of a list field, at that item's indent (no
 # indent argument, so json's C encoder runs)
@@ -86,18 +83,17 @@ def parse_bfile(
 
 
 def _shown(line: str, int_fields: list[str]) -> str:
-    """The refused line, quoted; past _SHOWN_CHARS only its start, with the
-    digit count of its longest field and, when int() reads that field and
-    it passes CPython's digit limit on int(), that limit."""
-    if len(line) <= _SHOWN_CHARS:
+    """The refused line, quoted; past _QUOTED_DIGITS characters only its
+    start, with the digit count of its longest field and, when int() reads
+    that field and it passes CPython's digit limit on int(), that limit."""
+    if len(line) <= _QUOTED_DIGITS:
         return repr(line)
     field = max(line.split(), key=len)
     digits = sum(map(str.isdigit, field))
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    cause = ""
-    if field in int_fields and 0 < limit < digits:
-        cause = f"; past CPython's {limit:,}-digit limit on int()"
-    return f"{line[:_SHOWN_CHARS]!r}... (a field of {digits:,} digits{cause})"
+    past = field in int_fields and 0 < limit < digits
+    cause = f"; past CPython's {limit:,}-digit limit on int()" if past else ""
+    return f"{line[:_QUOTED_DIGITS]!r}... (a field of {digits:,} digits{cause})"
 
 
 def _decimal_term(field: str) -> Decimal:
@@ -139,17 +135,9 @@ class _Term(Decimal):
         return floor + 1
 
 
-def _int_text(i: int) -> str:
-    """str(i), also past CPython's limit on the digits str() writes."""
-    try:
-        return str(i)
-    except ValueError:
-        return str(Decimal(i))
-
-
 def format_bfile(a: Seq) -> str:
     """Render a prefix as canonical b-file text (data lines only)."""
-    return "".join(f"{n} {t}\n" for n, t in enumerate(a.terms, start=1))
+    return "".join(f"{n} {_int_text(t)}\n" for n, t in enumerate(a.terms, start=1))
 
 
 def _first_failure_field(report: RealizabilityReport) -> dict[str, Any] | None:
@@ -168,7 +156,7 @@ def realizability_doc(report: RealizabilityReport) -> dict[str, Any]:
         "records": [
             {
                 "n": r.n,
-                "dold_value": str(r.dold_value),
+                "dold_value": _int_text(r.dold_value),
                 "dold_mod_n": str(r.dold_mod_n),
                 "sign_ok": r.sign_ok,
                 "divisibility_ok": r.divisibility_ok,
@@ -182,7 +170,7 @@ def orbit_counts_doc(counts: RatSeq) -> dict[str, Any]:
     """Orbit counts as exact strings ("7" or "75024/5")."""
     return {
         "horizon": len(counts),
-        "orbit_counts": [str(b) for b in counts],
+        "orbit_counts": [_count_text(b.numerator, b.denominator) for b in counts],
     }
 
 
@@ -190,7 +178,11 @@ def _orbit_count_text(r: DoldRecord) -> str:
     """str(Fraction(D_n, n)), as (D_n // g)/(n // g), g = gcd(D_n mod n, n)."""
     g = math.gcd(r.dold_mod_n, r.n)
     count = EXACT_CONTEXT.divide_int(r.dold_value, g) if g > 1 else r.dold_value
-    return str(count) if g == r.n else f"{count}/{r.n // g}"
+    return _count_text(count, r.n // g)
+
+
+def _count_text(num: int | Decimal, den: int) -> str:
+    return _int_text(num) if den == 1 else f"{_int_text(num)}/{den}"
 
 
 def local_doc(horizon: int, reports: list[LocalReport]) -> dict[str, Any]:
@@ -208,7 +200,7 @@ def local_doc(horizon: int, reports: list[LocalReport]) -> dict[str, Any]:
         "local_reports": [
             {
                 "prime": r.prime,
-                "p_part": [str(t) for t in r.p_part_sequence.terms],
+                "p_part": [_int_text(t) for t in r.p_part_sequence.terms],
                 "verdict": r.report.verdict,
                 "first_failure": _first_failure_field(r.report),
             }
@@ -264,8 +256,8 @@ def _doc_chunks(doc: dict[str, Any]) -> Iterator[str]:
                 yield f"{sep}\n    {{\n      {_ENCODE_FLAT_ITEM(item)[1:-1]}\n    }}"
                 sep = ","
             yield "\n  ]"
-        elif isinstance(value, Decimal):
-            yield str(value)
+        elif isinstance(value, Decimal) or type(value) is int:
+            yield _int_text(value)
         else:
             yield _ENCODE(value).replace("\n", "\n  ")
     yield "\n}\n"

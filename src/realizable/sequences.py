@@ -62,14 +62,14 @@ EXACT_CONTEXT = Context(
     traps=[Inexact, Rounded, InvalidOperation],
 )
 _ONE = Decimal(1)
+_QUOTED_DIGITS = 40  # a refusal names a longer integer by its sign and digit count
 
 
 class InsufficientPrefixError(ValueError):
     """A prefix is shorter than an operation needs.
 
-    ``required`` carries the prefix length that would have sufficed, so
-    callers can report exactly how much data to supply; it is None for a
-    length too large to build (an n^k of more than 4,300 digits).
+    ``required`` is the prefix length that would have sufficed, or None past
+    4,300 digits, so callers can report exactly how much data to supply.
     """
 
     def __init__(self, message: str, required: int | None):
@@ -88,6 +88,31 @@ def _digit_count(x: int | Decimal) -> int:
         return x.adjusted() + 1
     d = max(1, int(abs(x).bit_length() * log10(2)))  # |x| has d or d + 1 digits
     return d + (abs(x) >= 10**d)
+
+
+def _int_text(i: int | Decimal) -> str:
+    """str(i), also past CPython's limit on the digits str() writes.
+
+    >>> len(_int_text(-(10**5000)))
+    5002
+    """
+    try:
+        return str(i)
+    except ValueError:
+        return str(Decimal(i))
+
+
+def _quoted(x: int | Decimal, unit: str = "") -> str:
+    """x as a refusal names it: its digits, or past _QUOTED_DIGITS of them its
+    sign and digit count, sized without str(); then the unit, if any.
+
+    >>> _quoted(-(10**39)), _quoted(Decimal(10**40), "points")
+    ('-1000000000000000000000000000000000000000', 'a 41-digit number of points')
+    """
+    if (digits := _digit_count(x)) <= _QUOTED_DIGITS:
+        return f"{x} {unit}" if unit else str(x)
+    sign = "negative " if x < 0 else ""
+    return f"a {sign}{digits:,}-digit number" + (f" of {unit}" if unit else "")
 
 
 class _Prefix:
@@ -153,6 +178,15 @@ class RatSeq(_Prefix):
         object.__setattr__(self, "terms", tuple(Fraction(t) for t in self.terms))
         if not self.terms:
             raise ValueError("a sequence prefix needs at least one term")
+
+
+def _refuse_below(a: Seq, least: int, refusal: str, N: int | None = None) -> None:
+    """ValueError(refusal.format(n=n, t=_quoted(a_n))) at the first a_n < least, n <= N."""
+    if N is not None:
+        a.require_horizon(N)
+    for n, t in enumerate(a.terms[:N], start=1):
+        if t < least:
+            raise ValueError(refusal.format(n=n, t=_quoted(t)))
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,12 @@ from .numtheory import factorize
 from .realizability import DoldRecord, RealizabilityReport, _records, check_realizable
 from .sequences import (
     EXACT_CONTEXT,
+    _QUOTED_DIGITS,
     InsufficientPrefixError,
     LinearRecurrence,
     Seq,
     _digit_count,
+    _refuse_below,
     linear_recurrence_term,
 )
 
@@ -58,7 +60,7 @@ class Monomial:
 
 @dataclass(frozen=True)
 class ExplicitTable:
-    """Tabulated time change: entry n (1-indexed) is h(n), each >= 1."""
+    """Tabulated time change: entry n (1-indexed) is h(n), an integral index >= 1."""
 
     values: tuple[int, ...]
 
@@ -66,9 +68,7 @@ class ExplicitTable:
         object.__setattr__(self, "values", tuple(self.values))
         if not self.values:
             raise ValueError("an explicit table needs at least one entry")
-        for i, v in enumerate(self.values, start=1):
-            if not isinstance(v, int) or v < 1:
-                raise ValueError(f"table entries are indices >= 1; h({i}) = {v!r}")
+        _refuse_below(Seq(self.values), 1, "table entries are indices >= 1; h({n}) = {t}")
 
 
 TimeChange = Union[Monomial, ExplicitTable]
@@ -159,21 +159,20 @@ def sample(a: Seq, h: TimeChange, N: int) -> Seq:
     if N < 1:
         raise ValueError("need N >= 1")
     if N > _fit(h, len(a)):
-        # past 40 digits a length is named as N^k or by its digit count
         log_need = h.k * log10(N) if isinstance(h, Monomial) else 0
         need = None if log_need >= 4300 else required_source_length(h, N)
-        if log_need < 40 and _digit_count(need) > 40:  # a table entry
-            length = f"a {_digit_count(need):,}-digit length"
+        if log_need < _QUOTED_DIGITS and _digit_count(need) > _QUOTED_DIGITS:
+            length = f"a {_digit_count(need):,}-digit length"  # a table entry
         else:
-            length = f"length {N}^{h.k}" if log_need >= 40 else f"length {need}"
+            length = f"length {N}^{h.k}" if log_need >= _QUOTED_DIGITS else f"length {need}"
         raise InsufficientPrefixError(
             f"sampling to N={N} needs a source prefix of {length}, "
             f"but only {len(a)} terms are available",
-            required=need,
+            required=None if need is None or _digit_count(need) > 4300 else int(need),
         )
     suffix = f"[n^{h.k}]" if isinstance(h, Monomial) else "[table]"
     return Seq(
-        tuple(a[time_change_value(h, n)] for n in range(1, N + 1)),
+        tuple(a[int(time_change_value(h, n))] for n in range(1, N + 1)),
         label=f"{a.label}{suffix}" if a.label else suffix.strip("[]"),
     )
 
@@ -184,7 +183,7 @@ def term_power(a: Seq, h: IntPolynomial, N: int) -> Seq:
     Terms must be non-negative (the inputs of interest are fixed-point
     counts); exponents h(n) are >= 0 by the coefficient invariant.
     """
-    _require_nonnegative(a, N, "termwise powers need")
+    _refuse_below(a, 0, "termwise powers need a_n >= 0; a_{n} = {t}", N)
     with localcontext(EXACT_CONTEXT):
         terms = tuple(a[n] ** h(n) if h(n) else 1 for n in range(1, N + 1))
     return Seq(terms, label=f"{a.label}^h" if a.label else "")
@@ -206,7 +205,7 @@ def minimal_multiplier(a: Seq, N: int) -> MultiplierReport:
     the transform is linear: D_n(C a) = C D_n(a).  Negative terms are
     rejected just like in the checker.
     """
-    _require_nonnegative(a, N, "multiplier analysis needs")
+    _refuse_below(a, 0, "multiplier analysis needs a_n >= 0; a_{n} = {t}", N)
     return _multiplier_report(_records(a, N))
 
 
@@ -294,7 +293,7 @@ def luca_ward_check(
 
 def _checked_multiplier(a: Seq, N: int) -> tuple[RealizabilityReport, MultiplierReport]:
     """check_realizable(a, N) and minimal_multiplier(a, N) from one Dold table."""
-    _require_nonnegative(a, N, "multiplier analysis needs")
+    _refuse_below(a, 0, "multiplier analysis needs a_n >= 0; a_{n} = {t}", N)
     report = check_realizable(a, N)
     return report, _multiplier_report(report.records)
 
@@ -309,10 +308,3 @@ def _multiplier_report(records: Sequence[DoldRecord]) -> MultiplierReport:
         sign_ok=all(r.sign_ok for r in records),
         denominators=denominators,
     )
-
-
-def _require_nonnegative(a: Seq, N: int, what: str) -> None:
-    a.require_horizon(N)
-    for n in range(1, N + 1):
-        if a[n] < 0:
-            raise ValueError(f"{what} a_n >= 0; a_{n} = {a[n]}")

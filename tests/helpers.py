@@ -1,4 +1,5 @@
-"""Independent oracles the tests compare the library against.
+"""Independent oracles the tests compare the library against, and one
+shared assertion on the command line's refusals.
 
 Everything here is deliberately naive: enumeration and exact power series,
 no shared code with the package beyond basic types.  Slow is fine; wrong is
@@ -142,3 +143,12 @@ def naive_sample_fit(h: int | tuple[int, ...], have: int) -> int:
             break
         N += 1
     return N
+
+
+def assert_bounded_refusal(code: int, out: str, err: str) -> None:
+    """A refusal of the command line, however large its input: exit 2,
+    nothing on stdout, and one ``error:`` line of under 200 bytes that is
+    not CPython's message for an int past its digit limit."""
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+    assert len(err.encode()) < 200 and "Exceeds the limit" not in err

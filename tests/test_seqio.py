@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -8,6 +9,7 @@ from realizable.construct import CycleType, fix_count_sequence
 from realizable.local import check_everywhere_local, check_local
 from realizable.realizability import check_realizable, orbit_counts
 from realizable.seqio import (
+    _decimal_term,
     cycle_type_doc,
     dumps_doc,
     format_bfile,
@@ -18,7 +20,7 @@ from realizable.seqio import (
     realizability_doc,
 )
 from realizable.sequences import Seq, fibonacci_like
-from realizable.transforms import minimal_multiplier
+from realizable.transforms import _checked_multiplier, minimal_multiplier
 
 # ---------------------------------------------------------------- b-files
 
@@ -158,3 +160,41 @@ def test_huge_values_stay_exact_as_strings():
     doc = realizability_doc(check_realizable(Seq((big,)), 1))
     assert doc["records"][0]["dold_value"] == str(big)
     assert json.loads(dumps_doc(doc))["records"][0]["dold_value"] == str(big)
+
+
+# --------------------------------------- ints past CPython's digit limit
+
+# every writer's int prefix holds a term of 5,001 digits, past the 4,300
+# that str() writes for an int, and a 2-part of 6,021 digits
+PAST_THE_LIMIT = Seq((1, 10**5000 + 1, 2**20000))
+
+
+def read_doc(doc):
+    """A document's canonical text, read back with its integers as text."""
+    return json.loads(dumps_doc(doc), parse_int=str)
+
+
+def test_format_bfile_writes_an_int_past_the_digit_limit():
+    lines = format_bfile(PAST_THE_LIMIT).splitlines()
+    assert [_decimal_term(line.split()[1]) for line in lines] == list(PAST_THE_LIMIT.terms)
+
+
+def test_report_documents_write_ints_past_the_digit_limit():
+    report, mult = _checked_multiplier(PAST_THE_LIMIT, 3)
+    dold = [r.dold_value for r in report.records]
+    for doc in (realizability_doc(report), multiplier_doc(report, mult)):
+        assert [_decimal_term(r["dold_value"]) for r in read_doc(doc)["records"]] == dold
+    assert _decimal_term(read_doc(doc)["multiplier"]["value"]) == mult.multiplier
+    texts = read_doc(orbit_counts_doc(orbit_counts(PAST_THE_LIMIT, 3)))["orbit_counts"]
+    for n, (text, D) in enumerate(zip(texts, dold), start=1):
+        num, _, den = text.partition("/")
+        assert Fraction(int(_decimal_term(num)), int(den or 1)) == Fraction(D, n)
+    local = check_local(PAST_THE_LIMIT, 2, 3)
+    (p_part,) = (r["p_part"] for r in read_doc(local_doc(3, [local]))["local_reports"])
+    assert [_decimal_term(t) for t in p_part] == [1, 1, 2**20000]
+
+
+def test_cycle_type_doc_writes_a_count_past_the_digit_limit():
+    ct = CycleType({1: 1, 2: 10**5000 + 1})
+    doc = read_doc(cycle_type_doc(ct))
+    assert {int(k): _decimal_term(v) for k, v in doc.items()} == ct.counts

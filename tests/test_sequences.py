@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 from math import factorial
 
@@ -11,6 +12,8 @@ from realizable.sequences import (
     LinearRecurrence,
     RatSeq,
     Seq,
+    _quoted,
+    _refuse_below,
     bernoulli_numbers,
     euler_abs_sequence,
     fibonacci_like,
@@ -281,3 +284,33 @@ def test_irregular_primes_tables():
 
 def test_small_primes_are_regular():
     assert all(p not in irregular_primes(36) for p in (5, 7, 11, 13, 17, 19, 23, 29, 31))
+
+
+# ------------------------------------------------------ refusals' quotes
+
+
+@pytest.mark.parametrize("kind", [int, Decimal])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_refusal_quotes_40_digits_and_names_41_by_their_count(kind, sign):
+    forty, forty_one = kind(sign * (10**40 - 1)), kind(sign * 10**40)
+    assert _quoted(forty) == str(sign * (10**40 - 1))
+    assert _quoted(forty, "terms") == f"{sign * (10**40 - 1)} terms"
+    negative = "negative " if sign < 0 else ""
+    assert _quoted(forty_one) == f"a {negative}41-digit number"
+    assert _quoted(forty_one, "terms") == f"a {negative}41-digit number of terms"
+
+
+def test_a_quote_sizes_a_huge_term_without_writing_it():
+    assert _quoted(Decimal(f"-{'7' * 10**6}")) == "a negative 1,000,000-digit number"
+    assert _quoted(-(10**5000)) == "a negative 5,001-digit number"
+
+
+def test_the_sign_scan_keeps_its_range_and_quotes_the_term():
+    a = Seq((1, 2, -(10**5000)))
+    _refuse_below(a, 1, "a_{n} = {t}", 2)  # a_3 lies past the horizon
+    with pytest.raises(ValueError, match=r"^a_3 = a negative 5,001-digit number$"):
+        _refuse_below(a, 1, "a_{n} = {t}")
+    with pytest.raises(ValueError, match=r"^a_1 = 1$"):
+        _refuse_below(a, 2, "a_{n} = {t}")
+    with pytest.raises(InsufficientPrefixError):
+        _refuse_below(a, 0, "a_{n} = {t}", 4)

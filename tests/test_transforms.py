@@ -1,4 +1,5 @@
 import time
+from decimal import Decimal
 
 import pytest
 from hypothesis import given
@@ -101,6 +102,23 @@ def test_sample_writes_a_length_past_40_digits_as_a_power():
     with pytest.raises(InsufficientPrefixError, match=r"length 10\^40, but") as err:
         sample(Seq((1, 1, 2)), Monomial(40), 10)
     assert err.value.required == 10**40
+
+
+def test_a_table_of_decimal_entries_samples_like_one_of_ints():
+    h = ExplicitTable(tuple(map(Decimal, (4, 4, 1))))
+    assert sample(LUCAS, h, 3).terms == sample(LUCAS, ExplicitTable((4, 4, 1)), 3).terms
+    with pytest.raises(ValueError, match=r"h\(2\) = a negative 4,301-digit number$"):
+        ExplicitTable((Decimal(1), Decimal(f"-{'7' * 4301}")))
+    with pytest.raises(TypeError):
+        ExplicitTable((1, Decimal("2.5")))
+
+
+@pytest.mark.parametrize("digits, required", [(4300, 10**4300 - 1), (4301, None)], ids=["4300", "4301"])
+def test_sample_names_a_long_table_entry_as_an_int_up_to_4300_digits(digits, required):
+    h = ExplicitTable((Decimal(1), Decimal("9" * digits)))
+    with pytest.raises(InsufficientPrefixError, match=f"of a {digits:,}-digit length, but") as err:
+        sample(LUCAS, h, 2)
+    assert err.value.required == required
 
 
 def test_fit_matches_a_scan_for_monomials():
