@@ -11,19 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import localcontext
 
+from . import _public
 from .realizability import check_realizable
 from .sequences import EXACT_CONTEXT, Seq, _integral, _quoted
 
-__all__ = [
-    "CycleType",
-    "InconsistentPrefixError",
-    "DEFAULT_POINT_CAP",
-    "realize_cycle_type",
-    "fixed_points",
-    "fix_count_sequence",
-    "verify_realization",
-    "explicit_permutation",
-]
+__all__ = _public(__name__)
 
 DEFAULT_POINT_CAP = 10**6
 
@@ -55,9 +47,9 @@ class CycleType:
         for length in sorted(self.counts):
             count = self.counts[length]
             if not isinstance(length, int) or length < 1:
-                raise ValueError(f"cycle lengths are positive ints, got {length!r}")
+                raise ValueError(f"cycle lengths are positive ints, got {_quoted(length)}")
             if not _integral(count) or count < 0:
-                raise ValueError(f"cycle counts are non-negative ints, got {count!r}")
+                raise ValueError(f"cycle counts are non-negative ints, got {_quoted(count)}")
             if count:
                 cleaned[length] = count
         object.__setattr__(self, "counts", cleaned)

@@ -12,17 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import localcontext
 
+from . import _public
 from .numtheory import factorize, is_prime, padic_valuation
 from .realizability import RealizabilityReport, check_realizable
 from .sequences import EXACT_CONTEXT, Seq, _digit_count, _refuse_below
 
-__all__ = [
-    "LocalReport",
-    "p_part",
-    "check_local",
-    "support_primes",
-    "check_everywhere_local",
-]
+__all__ = _public(__name__)
 
 _FACTOR_DIGITS = 4300  # support_primes factors no longer term
 _POSITIVE = (

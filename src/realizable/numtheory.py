@@ -10,14 +10,9 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, isqrt
 
-__all__ = [
-    "primes_upto",
-    "is_prime",
-    "factorize",
-    "mobius",
-    "divisors",
-    "padic_valuation",
-]
+from . import _public
+
+__all__ = _public(__name__)
 
 # trial division covers everything below this bound before Pollard rho kicks in
 _TRIAL_BOUND = 1 << 16

@@ -22,22 +22,11 @@ from decimal import localcontext
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
+from . import _public
 from .numtheory import divisors, mobius, primes_upto
 from .sequences import EXACT_CONTEXT, InsufficientPrefixError, RatSeq, Seq, _refuse_below
 
-__all__ = [
-    "VERDICT_CONSISTENT",
-    "VERDICT_FAILS_D",
-    "VERDICT_FAILS_S",
-    "VERDICT_FAILS_BOTH",
-    "DoldRecord",
-    "RealizabilityReport",
-    "DivisibilityResult",
-    "dold_transform",
-    "orbit_counts",
-    "check_realizable",
-    "divisibility_check",
-]
+__all__ = _public(__name__)
 
 VERDICT_CONSISTENT = "consistent-up-to-N"
 VERDICT_FAILS_D = "fails-D"

@@ -17,22 +17,14 @@ import sys
 from decimal import Context, Decimal, InvalidOperation
 from typing import Any, Callable, Iterator
 
+from . import _public
 from .construct import CycleType
 from .local import LocalReport
 from .realizability import DoldRecord, RealizabilityReport, _verdict
 from .sequences import EXACT_CONTEXT, _QUOTED_DIGITS, RatSeq, Seq, _int_text
 from .transforms import MultiplierReport
 
-__all__ = [
-    "parse_bfile",
-    "format_bfile",
-    "realizability_doc",
-    "orbit_counts_doc",
-    "local_doc",
-    "multiplier_doc",
-    "cycle_type_doc",
-    "dumps_doc",
-]
+__all__ = _public(__name__)
 
 _LEADING_DIGITS = Context(prec=20)
 _ENCODE = json.JSONEncoder(indent=2, ensure_ascii=True).encode

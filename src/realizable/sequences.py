@@ -28,27 +28,10 @@ from itertools import islice
 from math import log10
 from typing import Iterator
 
+from . import _public
 from .numtheory import primes_upto
 
-__all__ = [
-    "EXACT_CONTEXT",
-    "Seq",
-    "RatSeq",
-    "LinearRecurrence",
-    "InsufficientPrefixError",
-    "FIBONACCI",
-    "linear_recurrence_terms",
-    "linear_recurrence_term",
-    "fibonacci_term",
-    "fibonacci_like",
-    "stirling_first",
-    "stirling_second",
-    "stirling_row_sequence",
-    "euler_abs_sequence",
-    "bernoulli_numbers",
-    "tau_beta_sequences",
-    "irregular_primes",
-]
+__all__ = _public(__name__)
 
 
 # Decimal arithmetic on integers under this context is exact or raises: no
@@ -102,13 +85,16 @@ def _int_text(i: int | Decimal) -> str:
         return str(Decimal(i))
 
 
-def _quoted(x: int | Decimal, unit: str = "") -> str:
-    """x as a refusal names it: its digits, or past _QUOTED_DIGITS of them its
-    sign and digit count, sized without str(); then the unit, if any.
+def _quoted(x, unit: str = "") -> str:
+    """x as a refusal names it: an int or Decimal by its digits, or past
+    _QUOTED_DIGITS of them its sign and digit count, sized without str(),
+    then the unit, if any; any other value by its repr.
 
-    >>> _quoted(-(10**39)), _quoted(Decimal(10**40), "points")
-    ('-1000000000000000000000000000000000000000', 'a 41-digit number of points')
+    >>> _quoted(-(10**39)), _quoted(Decimal(10**40), "points"), _quoted(1.5)
+    ('-1000000000000000000000000000000000000000', 'a 41-digit number of points', '1.5')
     """
+    if not isinstance(x, (int, Decimal)):
+        return repr(x)
     if (digits := _digit_count(x)) <= _QUOTED_DIGITS:
         return f"{x} {unit}" if unit else str(x)
     sign = "negative " if x < 0 else ""
@@ -265,7 +251,8 @@ def linear_recurrence_term(rec: LinearRecurrence, m: int) -> int:
             for i, a in enumerate(rec.coefficients, 1):
                 p[len(p) - i] += a * top
         r = p
-    return sum(c * u for c, u in zip(r, rec.initial))
+    with localcontext(EXACT_CONTEXT):
+        return sum(c * u for c, u in zip(r, rec.initial))
 
 
 def fibonacci_term(m: int) -> int:
@@ -290,8 +277,6 @@ def _stirling_column(kind: int, k: int, rows: int) -> list[int]:
     """Column k of the chosen Stirling triangle for row indices 0..rows."""
     if kind not in (1, 2):
         raise ValueError("kind must be 1 or 2")
-    if k < 0:
-        raise ValueError("need k >= 0")
     # row DP capped at column k; row[j] = S(m, j)
     row = [1] + [0] * k
     column = [row[k]]

@@ -15,6 +15,7 @@ from decimal import localcontext
 from math import gcd, lcm, log10
 from typing import Sequence, Union
 
+from . import _public
 from .numtheory import factorize
 from .realizability import DoldRecord, RealizabilityReport, _records, check_realizable
 from .sequences import (
@@ -24,27 +25,12 @@ from .sequences import (
     LinearRecurrence,
     Seq,
     _digit_count,
+    _quoted,
     _refuse_below,
     linear_recurrence_term,
 )
 
-__all__ = [
-    "Monomial",
-    "ExplicitTable",
-    "TimeChange",
-    "IntPolynomial",
-    "MultiplierReport",
-    "LucaWardParameters",
-    "LUCA_WARD_PARAMETER_SETS",
-    "time_change_value",
-    "required_source_length",
-    "sample",
-    "term_power",
-    "scale",
-    "minimal_multiplier",
-    "denominator_prime_scan",
-    "luca_ward_check",
-]
+__all__ = _public(__name__)
 
 
 @dataclass(frozen=True)
@@ -87,7 +73,7 @@ class IntPolynomial:
             raise ValueError("a polynomial needs at least one coefficient")
         for c in self.coefficients:
             if not isinstance(c, int) or c < 0:
-                raise ValueError(f"coefficients must be non-negative ints, got {c!r}")
+                raise ValueError(f"coefficients must be non-negative ints, got {_quoted(c)}")
 
     def __call__(self, n: int) -> int:
         value = 0
@@ -287,7 +273,8 @@ def luca_ward_check(
         raise ValueError("the sampling exponent s must be >= 1")
     if N < 1:
         raise ValueError("need N >= 1")
-    terms = tuple(M * linear_recurrence_term(rec, n**s) for n in range(1, N + 1))
+    with localcontext(EXACT_CONTEXT):
+        terms = tuple(M * linear_recurrence_term(rec, n**s) for n in range(1, N + 1))
     return check_realizable(Seq(terms, label=f"{M}*u[n^{s}]"), N)
 
 

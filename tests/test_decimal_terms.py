@@ -41,15 +41,19 @@ from realizable.seqio import (
 )
 from realizable.sequences import (
     EXACT_CONTEXT,
+    FIBONACCI,
     LinearRecurrence,
     Seq,
     fibonacci_like,
+    fibonacci_term,
+    linear_recurrence_term,
     linear_recurrence_terms,
 )
 from realizable.transforms import (
     IntPolynomial,
     Monomial,
     _checked_multiplier,
+    luca_ward_check,
     minimal_multiplier,
     sample,
     scale,
@@ -179,10 +183,13 @@ def test_100_digit_decimals_are_computed_exactly_in_any_context(context):
         assert divisibility_check(a, 12) == divisibility_check(b, 12)
         assert scale(a, 7).terms == scale(b, 7).terms
         assert term_power(a, IntPolynomial((0, 1)), 5).terms == term_power(b, IntPolynomial((0, 1)), 5).terms
-        rec = LinearRecurrence((1, 1), a.terms[:2])
-        assert linear_recurrence_terms(rec, 40).terms == linear_recurrence_terms(
-            LinearRecurrence((1, 1), b.terms[:2]), 40
-        ).terms
+        rec, int_rec = LinearRecurrence((1, 1), a.terms[:2]), LinearRecurrence((1, 1), b.terms[:2])
+        assert linear_recurrence_terms(rec, 40).terms == linear_recurrence_terms(int_rec, 40).terms
+        assert linear_recurrence_term(rec, 500) == linear_recurrence_term(int_rec, 500)
+        assert luca_ward_check(rec, 5, 2, 12) == luca_ward_check(int_rec, 5, 2, 12)
+        fib = LinearRecurrence((1, 1), (Decimal(1), Decimal(1)))
+        assert linear_recurrence_term(fib, 500) == fibonacci_term(500)
+        assert luca_ward_check(fib, 5, 2, 12) == luca_ward_check(FIBONACCI, 5, 2, 12)
         assert decimal.getcontext().prec == context.prec  # the caller's context is left as it was
 
 

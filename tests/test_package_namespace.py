@@ -4,6 +4,7 @@ submodule and a function replaced in its submodule is what the package
 hands out."""
 
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -72,6 +73,19 @@ def test_every_public_name_is_its_submodules_object():
     for name in realizable.__all__:
         assert len(owners.get(name, [])) == 1, name
         assert getattr(realizable, name) is getattr(owners[name][0], name), name
+    # the package serves every layer's public name, and a layer's public
+    # functions and classes are all in its __all__
+    assert set(realizable.__all__) == set(owners)
+    for m in (*SUBMODULES, "cli"):
+        module = importlib.import_module(f"realizable.{m}")
+        defined = {
+            name
+            for name, obj in vars(module).items()
+            if (inspect.isfunction(obj) or inspect.isclass(obj))
+            and obj.__module__ == module.__name__
+            and not name.startswith("_")
+        }
+        assert defined <= set(module.__all__), (m, defined - set(module.__all__))
 
 
 def test_dir_and_star_import_cover_all():

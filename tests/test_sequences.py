@@ -1,3 +1,4 @@
+import re
 from decimal import Decimal
 from fractions import Fraction
 from math import factorial
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from realizable.construct import CycleType, fix_count_sequence
 from realizable.sequences import (
     FIBONACCI,
     InsufficientPrefixError,
@@ -26,6 +28,7 @@ from realizable.sequences import (
     stirling_second,
     tau_beta_sequences,
 )
+from realizable.transforms import IntPolynomial, Monomial, required_source_length, sample
 
 from helpers import (
     bernoulli_by_series,
@@ -303,6 +306,53 @@ def test_a_refusal_quotes_40_digits_and_names_41_by_their_count(kind, sign):
 def test_a_quote_sizes_a_huge_term_without_writing_it():
     assert _quoted(Decimal(f"-{'7' * 10**6}")) == "a negative 1,000,000-digit number"
     assert _quoted(-(10**5000)) == "a negative 5,001-digit number"
+
+
+@pytest.mark.parametrize(
+    "refused",
+    [
+        lambda: CycleType({1: -(10**5000)}),
+        lambda: CycleType({-(10**5000): 1}),
+        lambda: IntPolynomial((1, -(10**5000))),
+    ],
+    ids=["cycle-count", "cycle-length", "coefficient"],
+)
+def test_a_refused_huge_value_is_named_by_its_digit_count(refused):
+    with pytest.raises(ValueError, match="a negative 5,001-digit number$") as err:
+        refused()
+    assert len(str(err.value).encode()) < 200
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: fix_count_sequence(CycleType({1: 1}), 0), "need N >= 1"),
+        (lambda: RatSeq(()), "a sequence prefix needs at least one term"),
+        (lambda: linear_recurrence_term(FIBONACCI, 0), "need m >= 1"),
+        (lambda: stirling_second(0, 1), "need n >= 1"),
+        (lambda: stirling_row_sequence(2, 1, 0), "need N >= 1"),
+        (lambda: euler_abs_sequence(0), "need N >= 1"),
+        (lambda: bernoulli_numbers(-1), "need M >= 0"),
+        (lambda: tau_beta_sequences(0), "need N >= 1"),
+        (lambda: required_source_length(Monomial(2), 0), "need N >= 1"),
+        (lambda: sample(Seq((1,)), Monomial(2), 0), "need N >= 1"),
+    ],
+    ids=[
+        "fix_count_sequence",
+        "RatSeq",
+        "linear_recurrence_term",
+        "stirling_second",
+        "stirling_row_sequence",
+        "euler_abs_sequence",
+        "bernoulli_numbers",
+        "tau_beta_sequences",
+        "required_source_length",
+        "sample",
+    ],
+)
+def test_an_empty_horizon_or_index_is_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_the_sign_scan_keeps_its_range_and_quotes_the_term():
