@@ -11,11 +11,12 @@ realizability but never prove it.
 
 Each subcommand takes the parsed arguments and the input prefix and
 returns its text (a JSON report as chunks rendered while they are written)
-and exit code.  Only ``main`` does I/O and maps errors: it reads every
-b-file a command names, as ASCII, writes the text only on success (a
-refusal, or a failure while a report is written, leaves no ``--out``
-file), and reports a refusal on stderr as ``not realizable: ...`` (exit 1)
-or ``error: ...`` (exit 2).
+and exit code.  Only ``main`` does I/O and maps errors: it hands the bytes
+of every b-file a command names to ``seqio.parse_bfile``, which owns the
+format (ASCII included), writes the text only on success (a refusal, or a
+failure while a report is written, leaves no ``--out`` file), and reports
+a refusal on stderr as ``not realizable: ...`` (exit 1) or ``error: ...``
+(exit 2).
 
 Every command holds b-file terms as integral Decimals, with no digit limit.
 """
@@ -71,29 +72,16 @@ ENV_POINT_CAP = "REALIZE_POINT_CAP"
 
 def _read_bfile(path: str) -> Seq:
     with open(path, "rb") as fh:
-        return seqio.parse_bfile(_ascii(fh.read()), _term=seqio._decimal_term)
+        return seqio.parse_bfile(fh.read(), _term=seqio._decimal_term)
 
 
 def _read_input(path: str) -> Seq:
     if path != "-":
         return _read_bfile(path)
-    # the bytes of stdin, decoded like a file's and not with the locale's
-    # codec (an in-memory text stream has no buffer)
+    # the bytes of stdin, read like a file's and not decoded with the
+    # locale's codec (an in-memory text stream has no buffer; its text is read)
     stdin = getattr(sys.stdin, "buffer", sys.stdin)
-    return seqio.parse_bfile(_ascii(stdin.read()), _term=seqio._decimal_term)
-
-
-def _ascii(data: bytes | str) -> str:
-    """The b-file text, which is ASCII: the first line holding any other
-    character or byte is refused."""
-    if data.isascii():
-        return data if isinstance(data, str) else data.decode("ascii")
-    if isinstance(data, bytes):
-        data = data.decode("ascii", errors="surrogateescape")
-    lineno, line = next(
-        (i, line) for i, line in enumerate(data.splitlines(), 1) if not line.isascii()
-    )
-    raise ValueError(f"line {lineno}: b-file input is ASCII, got {line.strip()!a}")
+    return seqio.parse_bfile(stdin.read(), _term=seqio._decimal_term)
 
 
 def _write_output(text: str | Iterable[str], out: str | None) -> None:

@@ -125,13 +125,10 @@ def explicit_permutation(ct: CycleType, cap: int = DEFAULT_POINT_CAP) -> list[in
     if total > cap:
         points = _quoted(total, "points")
         raise ValueError(f"cycle type needs {points}, exceeding the cap of {cap}")
-    succ = [0] * int(total)
-    next_label = 1
+    succ: list[int] = []
     for length, count in ct.counts.items():
         for _ in range(int(count)):
-            first = next_label
-            for offset in range(length):
-                point = first + offset
-                succ[point - 1] = first if offset == length - 1 else point + 1
-            next_label += length
+            first = len(succ) + 1
+            succ.extend(range(first + 1, first + length))
+            succ.append(first)
     return succ

@@ -15,7 +15,7 @@ from decimal import localcontext
 from . import _public
 from .numtheory import factorize, is_prime, padic_valuation
 from .realizability import RealizabilityReport, check_realizable
-from .sequences import EXACT_CONTEXT, Seq, _digit_count, _refuse_below
+from .sequences import EXACT_CONTEXT, Seq, _digit_count, _quoted, _refuse_below
 
 __all__ = _public(__name__)
 
@@ -49,7 +49,7 @@ def p_part(a: Seq, p: int) -> Seq:
     (1, 1, 1, 1, 2)
     """
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise ValueError(f"{_quoted(p)} is not prime")
     _refuse_below(a, 1, "p-part localization" + _POSITIVE)
     with localcontext(EXACT_CONTEXT):
         parts = tuple(p ** padic_valuation(t, p) for t in a.terms)

@@ -213,7 +213,8 @@ def padic_valuation(x: int, p: int) -> int:
     if x == 0:
         raise ValueError("the p-adic valuation of 0 is infinite")
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        from .sequences import _quoted  # not at the top: sequences imports this module
+        raise ValueError(f"{_quoted(p)} is not prime")
     x = abs(x)
     v = 0
     while x % p == 0:

@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 from . import _public
 from .numtheory import divisors, mobius, primes_upto
-from .sequences import EXACT_CONTEXT, InsufficientPrefixError, RatSeq, Seq, _refuse_below
+from .sequences import EXACT_CONTEXT, RatSeq, Seq, _refuse_below
 
 __all__ = _public(__name__)
 
@@ -79,13 +79,7 @@ def dold_transform(a: Seq, n: int) -> int:
     >>> dold_transform(Seq((1, 3, 4, 7, 11, 18)), 6)
     12
     """
-    if n < 1:
-        raise ValueError("the Dold transform needs n >= 1")
-    if n > len(a):
-        raise InsufficientPrefixError(
-            f"D_{n} needs terms a_1..a_{n} but the prefix has {len(a)}",
-            required=n,
-        )
+    a.require_horizon(n)  # D_n reads a_1, ..., a_n
     with localcontext(EXACT_CONTEXT):
         return sum(mobius(n // d) * a[d] for d in divisors(n))
 

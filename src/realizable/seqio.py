@@ -1,7 +1,8 @@
 """Sequence files and JSON report documents.
 
-The interchange format for prefixes is the OEIS b-file convention: one
-"n a_n" pair per line, indices contiguous from 1, '#' starting a comment.
+This module owns the interchange format for prefixes, the OEIS b-file:
+ASCII lines of one "n a_n" pair, indices contiguous from 1, '#' starting a
+comment.  ``parse_bfile`` is its one reader, the command line's included.
 Report documents are JSON with a fixed field order; integers produced by
 sequence arithmetic (Dold values, residues, multipliers, denominators,
 p-parts, orbit counts) are decimal strings so nothing downstream silently
@@ -15,7 +16,7 @@ import json
 import math
 import sys
 from decimal import Context, Decimal, InvalidOperation
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 from . import _public
 from .construct import CycleType
@@ -36,14 +37,20 @@ _ENCODE_FLAT_ITEM = json.JSONEncoder(
 
 
 def parse_bfile(
-    text: str, label: str = "", *, _term: Callable[[str], Any] = int
+    text: str | bytes, label: str = "", *, _term: Callable[[str], Any] = int
 ) -> Seq:
-    """Parse "n a_n" lines into a prefix; indices must run 1, 2, 3, ...
-
-    Comment lines start with '#'; blank lines are ignored.  Terms may be
-    signed (the checker itself rejects negatives; the file format does not).
-    ``_term`` reads each a_n: int, or _decimal_term.
+    """Parse "n a_n" lines, from ASCII str or bytes, into a prefix; indices
+    must run 1, 2, 3, ...  The first line holding any other character or byte
+    is refused before any line is read.  Comment lines start with '#'; blank
+    lines are ignored.  Terms may be signed (the checker itself rejects
+    negatives; the file format does not).  ``_term`` reads each a_n: int, or
+    _decimal_term.
     """
+    if isinstance(text, bytes):  # a byte past ASCII reads as a lone surrogate
+        text = text.decode("ascii", errors="surrogateescape")
+    if not text.isascii():
+        lineno, line = next(x for x in enumerate(text.splitlines(), 1) if not x[1].isascii())
+        raise ValueError(f"line {lineno}: b-file input is ASCII, got {_shown(line.strip())}")
     terms: list = []
     for lineno, raw in enumerate(lines := text.splitlines(), start=1):
         lines[lineno - 1] = None  # freed once read: a line and its term never coexist
@@ -52,16 +59,13 @@ def parse_bfile(
             continue
         fields = line.split()
         if len(fields) != 2:
-            raise ValueError(
-                f"line {lineno}: expected 'n a_n', got {_shown(raw.strip(), [])}"
-            )
+            raise ValueError(f"line {lineno}: expected 'n a_n', got {_shown(line)}")
         try:
             n, value = int(fields[0]), _term(fields[1])
         except ValueError:
             int_fields = fields if _term is int else fields[:1]
             raise ValueError(
-                f"line {lineno}: expected two integers, got "
-                f"{_shown(raw.strip(), int_fields)}"
+                f"line {lineno}: expected two integers, got {_shown(line, int_fields)}"
             ) from None
         if n != len(terms) + 1:
             raise ValueError(
@@ -74,18 +78,18 @@ def parse_bfile(
     return Seq(tuple(terms), label=label)
 
 
-def _shown(line: str, int_fields: list[str]) -> str:
-    """The refused line, quoted; past _QUOTED_DIGITS characters only its
-    start, with the digit count of its longest field and, when int() reads
-    that field and it passes CPython's digit limit on int(), that limit."""
+def _shown(line: str, int_fields: Sequence[str] = ()) -> str:
+    """The refused line, quoted by ascii(); past _QUOTED_DIGITS characters
+    only its start, with the digit count of its longest field and, when int()
+    reads that field and it passes CPython's digit limit on int(), that limit."""
     if len(line) <= _QUOTED_DIGITS:
-        return repr(line)
+        return ascii(line)
     field = max(line.split(), key=len)
     digits = sum(map(str.isdigit, field))
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     past = field in int_fields and 0 < limit < digits
     cause = f"; past CPython's {limit:,}-digit limit on int()" if past else ""
-    return f"{line[:_QUOTED_DIGITS]!r}... (a field of {digits:,} digits{cause})"
+    return f"{line[:_QUOTED_DIGITS]!a}... (a field of {digits:,} digits{cause})"
 
 
 def _decimal_term(field: str) -> Decimal:

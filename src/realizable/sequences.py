@@ -112,10 +112,10 @@ class _Prefix:
     def __getitem__(self, n: int):
         """a_n for 1 <= n <= len(self); there is no a_0."""
         if not isinstance(n, int) or n < 1:
-            raise IndexError(f"sequence indices start at 1, got {n!r}")
+            raise IndexError(f"sequence indices start at 1, got {_quoted(n)}")
         if n > len(self.terms):
             raise InsufficientPrefixError(
-                f"term a_{n} requested but prefix has only {len(self.terms)} terms",
+                f"term a_{_quoted(n)} requested but prefix has only {len(self.terms)} terms",
                 required=n,
             )
         return self.terms[n - 1]
@@ -129,7 +129,8 @@ class _Prefix:
             raise ValueError("horizon N must be >= 1")
         if N > len(self.terms):
             raise InsufficientPrefixError(
-                f"horizon N={N} exceeds the {len(self.terms)}-term prefix", required=N
+                f"horizon N={_quoted(N)} exceeds the {len(self.terms)}-term prefix",
+                required=N,
             )
 
 
@@ -188,6 +189,9 @@ class LinearRecurrence:
     def __post_init__(self) -> None:
         object.__setattr__(self, "coefficients", tuple(self.coefficients))
         object.__setattr__(self, "initial", tuple(self.initial))
+        for a in self.coefficients:  # the kernels shift and multiply them as ints
+            if not isinstance(a, int):
+                raise TypeError(f"coefficients are ints, got {type(a).__name__} {_quoted(a)}")
         if not self.coefficients:
             raise ValueError("a recurrence needs order k >= 1")
         if self.coefficients[-1] == 0:

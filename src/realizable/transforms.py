@@ -145,14 +145,19 @@ def sample(a: Seq, h: TimeChange, N: int) -> Seq:
     if N < 1:
         raise ValueError("need N >= 1")
     if N > _fit(h, len(a)):
-        log_need = h.k * log10(N) if isinstance(h, Monomial) else 0
+        # log10 of N^k, N >= 2; k is capped so that the float product cannot
+        # overflow, and past the cap it exceeds 4,300 whatever N is
+        log_need = min(h.k, 10**5) * log10(N) if isinstance(h, Monomial) else 0
         need = None if log_need >= 4300 else required_source_length(h, N)
-        if log_need < _QUOTED_DIGITS and _digit_count(need) > _QUOTED_DIGITS:
+        if log_need >= _QUOTED_DIGITS:  # N^k, a long N named by its symbol
+            base = N if _digit_count(N) <= _QUOTED_DIGITS else "N"
+            length = f"length {base}^{_quoted(h.k)}"
+        elif _digit_count(need) > _QUOTED_DIGITS:
             length = f"a {_digit_count(need):,}-digit length"  # a table entry
         else:
-            length = f"length {N}^{h.k}" if log_need >= _QUOTED_DIGITS else f"length {need}"
+            length = f"length {need}"
         raise InsufficientPrefixError(
-            f"sampling to N={N} needs a source prefix of {length}, "
+            f"sampling to N={_quoted(N)} needs a source prefix of {length}, "
             f"but only {len(a)} terms are available",
             required=None if need is None or _digit_count(need) > 4300 else int(need),
         )

@@ -479,6 +479,29 @@ def test_non_ascii_bytes_on_stdin_are_refused_like_a_file(data, tmp_path):
     assert results[0].stderr == results[1].stderr
 
 
+@pytest.mark.parametrize("text", [ARABIC_ONE, "1 \uff11\n", "1 1\n2 \udce9\n"])
+def test_non_ascii_input_is_refused_with_the_librarys_message(text, tmp_path, capsys, monkeypatch):
+    # the bytes from a path, and the text of an in-memory stdin, go to the
+    # one reader as they are
+    data = text.encode("utf-8", errors="surrogateescape")
+    path = tmp_path / "in.b"
+    path.write_bytes(data)
+    for argv, stdin, given in (([str(path)], None, data), ([], text, text)):
+        with pytest.raises(ValueError) as err:
+            parse_bfile(given)
+        assert run_cli(["check", *argv], capsys, monkeypatch, stdin_text=stdin) == (2, "", f"error: {err.value}\n")
+
+
+def test_a_long_non_ascii_line_gets_a_short_refusal(tmp_path, capsys, monkeypatch):
+    text = f"1 {'9' * 99_997}\u0661\n"  # a line of 100,000 characters
+    path = tmp_path / "long.b"
+    path.write_text(text, encoding="utf-8")
+    for argv, stdin in (([str(path)], None), ([], text)):
+        code, out, err = run_cli(["check", *argv], capsys, monkeypatch, stdin_text=stdin)
+        assert_bounded_refusal(code, out, err)
+        assert err.startswith(f"error: line 1: b-file input is ASCII, got '1 {'9' * 38}'... (a field of ")
+
+
 # one value per command is checked mod these primes: its terms pass CPython's
 # 4,300-digit int<->str limit
 PRIMES = (10**9 + 7, 998244353, 2**61 - 1)
@@ -613,6 +636,29 @@ def test_sample_decides_a_huge_monomial_from_sizes(terms, expected, capsys, monk
     argv = ["sample", "--monomial", "100000000", *terms]
     assert run_cli(argv, capsys, monkeypatch, stdin_text=LUCAS10[:16]) == expected
     assert time.perf_counter() - start < 1
+
+
+NINES = "9" * 4300  # the longest int argparse reads; a composite
+
+
+def long_argv_values():
+    """Every input command with a 4,300-digit number from the command line
+    that it refuses: the horizon, or scale's multiplier; local's prime and
+    sample's exponent as well."""
+    options = {
+        "local": [["--prime", "2", "--terms", NINES], ["--all", "--terms", NINES], ["--prime", NINES]],
+        "sample": [["--monomial", "2", "--terms", NINES], ["--monomial", NINES, "--terms", "3"]],
+        "power": [["--poly", "1", "--terms", NINES]],
+        "scale": [[f"--mult=-{NINES}"]],
+    }
+    return [(c, *o) for c in input_commands() for o in options.get(c, [["--terms", NINES]])]
+
+
+@pytest.mark.parametrize("argv", long_argv_values(), ids=lambda argv: " ".join(argv).replace(NINES, "9...9"))
+def test_a_long_number_from_the_command_line_gets_a_short_refusal(argv, capsys, monkeypatch):
+    code, out, err = run_cli(list(argv), capsys, monkeypatch, stdin_text=LUCAS10)
+    assert_bounded_refusal(code, out, err)
+    assert "a 4,300-digit number" in err or argv[0] == "scale"
 
 
 def test_sample_writes_a_long_length_as_a_power(capsys, monkeypatch):

@@ -115,7 +115,11 @@ def test_decimal_term_reads_like_int(field, text):
 def test_decimal_term_refuses_what_int_refuses(field):
     with pytest.raises(ValueError):
         int(field)
+    with pytest.raises(ValueError):
+        _decimal_term(field)
     message = f"line 1: expected two integers, got '1 {field}'"
+    if not field.isascii():  # the reader refuses the line before it reads a field
+        message = f"line 1: b-file input is ASCII, got {ascii('1 ' + field)}"
     assert parse_both(f"1 {field}\n") == [f"ValueError: {message}"] * 2
 
 

@@ -68,6 +68,39 @@ def test_bfile_round_trip(terms):
     assert parse_bfile(format_bfile(a)).terms == a.terms
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ("1 \u0661\n", "line 1: b-file input is ASCII, got '1 \\u0661'"),  # int() reads it as 1
+        ("1 \uff11\n", "line 1: b-file input is ASCII, got '1 \\uff11'"),  # a fullwidth 1, too
+        (b"1 1\n2 \xe9\n", "line 2: b-file input is ASCII, got '2 \\udce9'"),
+    ],
+)
+@pytest.mark.parametrize("term", [int, _decimal_term])
+def test_parse_refuses_the_first_non_ascii_line(data, message, term):
+    with pytest.raises(ValueError) as err:
+        parse_bfile(data, _term=term)
+    assert str(err.value) == message
+
+
+def parsed(data):
+    """The terms parse_bfile reads from data, or its refusal."""
+    try:
+        return parse_bfile(data).terms
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+@given(
+    st.one_of(
+        st.text(alphabet=st.characters(max_codepoint=127)),
+        st.text(alphabet="12-_ #\t\n\r\x0b\x0c\x1c"),  # line breaks str.splitlines knows
+    )
+)
+def test_parse_reads_ascii_bytes_as_their_text(text):
+    assert parsed(text.encode()) == parsed(text)
+
+
 # ------------------------------------------------------------- documents
 
 

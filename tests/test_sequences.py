@@ -97,6 +97,20 @@ def test_recurrence_validation():
     assert LinearRecurrence((1, 1), (1, 1)).order == 2
 
 
+@pytest.mark.parametrize(
+    "coefficient, shown",
+    [(Decimal(1), "Decimal 1"), (1.0, "float 1.0"), (Decimal(10**50), "Decimal a 51-digit number")],
+)
+def test_both_kernels_are_refused_a_coefficient_that_is_not_an_int(coefficient, shown):
+    # linear_recurrence_term would fail in its squaring loop, and
+    # linear_recurrence_terms would yield terms Seq refuses: the recurrence
+    # that both would run is refused when it is built
+    with pytest.raises(TypeError, match=f"^{re.escape(f'coefficients are ints, got {shown}')}$"):
+        LinearRecurrence((1, coefficient), (1, 1))
+    rec = LinearRecurrence((1, 1), (Decimal(1), Decimal(1)))  # Decimal initial terms stay
+    assert linear_recurrence_term(rec, 500) == linear_recurrence_terms(rec, 500)[500] == fibonacci_term(500)
+
+
 def test_fibonacci_prefix():
     a = linear_recurrence_terms(FIBONACCI, 10)
     assert a.terms == (1, 1, 2, 3, 5, 8, 13, 21, 34, 55)
