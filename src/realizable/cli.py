@@ -270,8 +270,8 @@ def _cmd_realize(args: argparse.Namespace, a: Seq) -> tuple[str, int]:
             cap = int(os.environ.get(ENV_POINT_CAP, DEFAULT_POINT_CAP))
         if cap < 0:
             raise ValueError("--explicit cap must be >= 0")
-        perm = explicit_permutation(ct, cap)  # within the cap, every count is small
-        doc = {"cycle_type": {k: int(v) for k, v in doc.items()}, "permutation": perm}
+        perm = explicit_permutation(ct, cap)
+        doc = {"cycle_type": doc, "permutation": perm}
     return seqio.dumps_doc(doc), 0
 
 

@@ -8,6 +8,7 @@ theory: a horizon certificate made of actual points.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from decimal import localcontext
 
@@ -98,11 +99,11 @@ def fixed_points(ct: CycleType, n: int) -> int:
         return sum(length * count for length, count in ct if n % length == 0)
 
 
-def fix_count_sequence(ct: CycleType, N: int, label: str = "") -> Seq:
+def fix_count_sequence(ct: CycleType, N: int) -> Seq:
     """The prefix (fixed_points(ct, n))_{n=1..N}: realizable by construction."""
     if N < 1:
         raise ValueError("need N >= 1")
-    return Seq(tuple(fixed_points(ct, n) for n in range(1, N + 1)), label=label)
+    return Seq(tuple(fixed_points(ct, n) for n in range(1, N + 1)))
 
 
 def verify_realization(ct: CycleType, a: Seq, N: int) -> bool:
@@ -122,9 +123,11 @@ def explicit_permutation(ct: CycleType, cap: int = DEFAULT_POINT_CAP) -> list[in
     [1, 3, 4, 5, 6, 2]
     """
     total = ct.total_points
+    points = _quoted(total, "points")
     if total > cap:
-        points = _quoted(total, "points")
         raise ValueError(f"cycle type needs {points}, exceeding the cap of {cap}")
+    if total > sys.maxsize:
+        raise ValueError(f"cycle type needs {points}, more than a list can hold")
     succ: list[int] = []
     for length, count in ct.counts.items():
         for _ in range(int(count)):

@@ -6,8 +6,8 @@ comment.  ``parse_bfile`` is its one reader, the command line's included.
 Report documents are JSON with a fixed field order; integers produced by
 sequence arithmetic (Dold values, residues, multipliers, denominators,
 p-parts, orbit counts) are decimal strings so nothing downstream silently
-rounds them.  Serialization is canonical: parse + re-serialize is a byte
-round trip.
+rounds them.  One writer, ``_json``, writes every value, ints and Decimals
+at any depth and size; parse + re-serialize is a byte round trip.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from decimal import Context, Decimal, InvalidOperation
+from json.encoder import encode_basestring_ascii as _json_str  # json's C quoter
 from typing import Any, Callable, Iterator, Sequence
 
 from . import _public
@@ -28,17 +29,10 @@ from .transforms import MultiplierReport
 __all__ = _public(__name__)
 
 _LEADING_DIGITS = Context(prec=20)
-_ENCODE = json.JSONEncoder(indent=2, ensure_ascii=True).encode
-# a dict of scalars as an item of a list field, at that item's indent (no
-# indent argument, so json's C encoder runs)
-_ENCODE_FLAT_ITEM = json.JSONEncoder(
-    separators=(",\n      ", ": "), ensure_ascii=True
-).encode
+_LITERALS = {None: "null", True: "true", False: "false"}
 
 
-def parse_bfile(
-    text: str | bytes, label: str = "", *, _term: Callable[[str], Any] = int
-) -> Seq:
+def parse_bfile(text: str | bytes, *, _term: Callable[[str], Any] = int) -> Seq:
     """Parse "n a_n" lines, from ASCII str or bytes, into a prefix; indices
     must run 1, 2, 3, ...  The first line holding any other character or byte
     is refused before any line is read.  Comment lines start with '#'; blank
@@ -75,21 +69,24 @@ def parse_bfile(
         terms.append(value)
     if not terms:
         raise ValueError("no sequence data found")
-    return Seq(tuple(terms), label=label)
+    return Seq(tuple(terms))
 
 
 def _shown(line: str, int_fields: Sequence[str] = ()) -> str:
-    """The refused line, quoted by ascii(); past _QUOTED_DIGITS characters
-    only its start, with the digit count of its longest field and, when int()
-    reads that field and it passes CPython's digit limit on int(), that limit."""
-    if len(line) <= _QUOTED_DIGITS:
+    """The refused line, quoted by ascii(); past _QUOTED_DIGITS characters as
+    written (escapes included), only its start, with the digit count of its
+    longest field and, when int() reads it past CPython's limit, that limit."""
+    head = line[:_QUOTED_DIGITS]
+    while len(head.encode("ascii", "backslashreplace")) > _QUOTED_DIGITS:
+        head = head[:-1]
+    if head == line:
         return ascii(line)
     field = max(line.split(), key=len)
     digits = sum(map(str.isdigit, field))
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     past = field in int_fields and 0 < limit < digits
     cause = f"; past CPython's {limit:,}-digit limit on int()" if past else ""
-    return f"{line[:_QUOTED_DIGITS]!a}... (a field of {digits:,} digits{cause})"
+    return f"{head!a}... (a field of {digits:,} digits{cause})"
 
 
 def _decimal_term(field: str) -> Decimal:
@@ -228,41 +225,45 @@ def cycle_type_doc(ct: CycleType) -> dict[str, Any]:
 
 
 def dumps_doc(doc: dict[str, Any]) -> str:
-    """Canonical JSON bytes: 2-space indent, fixed key order, one trailing
-    newline.  json.loads followed by dumps_doc reproduces the bytes."""
+    """json.dumps(doc, indent=2, ensure_ascii=True) + "\\n", also for Decimals
+    and ints past 4,300 digits: json.loads then dumps_doc keeps the bytes."""
     return "".join(_doc_chunks(doc))
 
 
 def _doc_chunks(doc: dict[str, Any]) -> Iterator[str]:
-    """dumps_doc(doc) in chunks, which is json.dumps(doc, indent=2,
-    ensure_ascii=True) + "\\n": one chunk per field, and one per item of a
-    list field whose items are all non-empty dicts of scalars (the records).
-    Json's C encoder, which runs only without an indent argument, renders
-    each such item at its indent in one call."""
-    if not doc:
-        yield "{}\n"
-        return
+    """dumps_doc(doc) in chunks, each written by _json: one per field, and one
+    per item of a list or tuple field (the records, a permutation's points)."""
     opener = "{"
     for key, value in doc.items():
-        yield f"{opener}\n  {_ENCODE(key)}: "
+        yield f"{opener}\n  {_json_str(key)}: "
         opener = ","
-        if value and isinstance(value, list) and all(map(_is_flat, value)):
+        if value and isinstance(value, (list, tuple)):
             sep = "["
             for item in value:
-                yield f"{sep}\n    {{\n      {_ENCODE_FLAT_ITEM(item)[1:-1]}\n    }}"
+                yield f"{sep}\n    {_json(item, '    ')}"
                 sep = ","
             yield "\n  ]"
-        elif isinstance(value, Decimal) or type(value) is int:
-            yield _int_text(value)
         else:
-            yield _ENCODE(value).replace("\n", "\n  ")
-    yield "\n}\n"
+            yield _json(value, "  ")
+    yield "\n}\n" if doc else "{}\n"
 
 
-def _is_flat(item: Any) -> bool:
-    """A non-empty dict of JSON scalars."""
-    return (
-        isinstance(item, dict)
-        and bool(item)
-        and not any(isinstance(v, (dict, list, tuple)) for v in item.values())
-    )
+def _json(value: Any, indent: str) -> str:
+    """value as json.dumps(value, indent=2, ensure_ascii=True) writes it in a
+    document, on a line indented by ``indent``; but every int and Decimal, at
+    any size, goes through _int_text, and a key that is not a str raises
+    TypeError."""
+    if type(value) is int or isinstance(value, Decimal):
+        return _int_text(value)
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None or value is True or value is False:
+        return _LITERALS[value]
+    inner = indent + "  "
+    if isinstance(value, dict):
+        fields = [f"\n{inner}{_json_str(k)}: {_json(v, inner)}" for k, v in value.items()]
+        return f"{{{','.join(fields)}\n{indent}}}" if value else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [f"\n{inner}{_json(item, inner)}" for item in value]
+        return f"[{','.join(items)}\n{indent}]" if value else "[]"
+    return json.dumps(value)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -502,6 +503,24 @@ def test_a_long_non_ascii_line_gets_a_short_refusal(tmp_path, capsys, monkeypatc
         assert err.startswith(f"error: line 1: b-file input is ASCII, got '1 {'9' * 38}'... (a field of ")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1 " + "\U0001f600" * 38,  # ascii() writes 10 characters for each
+        "1 " + "\u0661" * 99_998,  # a line of 100,000 Arabic-Indic digits
+        "1 " + "\u0661" * 30,  # from a path, each UTF-8 byte is a 6-character escape
+    ],
+    ids=["emoji", "long", "short"],
+)
+def test_a_non_ascii_refusal_quotes_at_most_40_written_characters(text, tmp_path, capsys, monkeypatch):
+    with pytest.raises(ValueError) as err:
+        parse_bfile(text)
+    assert_bounded_refusal(2, "", f"error: {err.value}\n")
+    path = tmp_path / "in.b"
+    path.write_text(text, encoding="utf-8")
+    assert_bounded_refusal(*run_cli(["check", str(path)], capsys, monkeypatch))
+
+
 # one value per command is checked mod these primes: its terms pass CPython's
 # 4,300-digit int<->str limit
 PRIMES = (10**9 + 7, 998244353, 2**61 - 1)
@@ -705,6 +724,29 @@ def test_realize_writes_a_long_total_past_the_cap_by_its_digits(capsys, monkeypa
     code, out, err = run_cli(argv, capsys, monkeypatch, stdin_text=f"1 1\n2 {'7' * 4301}\n")
     assert_bounded_refusal(code, out, err)
     assert err == "error: cycle type needs a 4,301-digit number of points, exceeding the cap of 5\n"
+
+
+def test_realize_refuses_a_total_no_list_can_hold_before_laying_out_points(tmp_path):
+    # in a child under an address-space limit, so laying the points out
+    # fails the test by the timeout and cannot exhaust the machine's memory
+    path = tmp_path / "huge.b"
+    path.write_text(f"1 {10**19}\n", encoding="ascii")
+    src = os.path.dirname(os.path.dirname(realizable.__file__))
+    limit = 1 << 30
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "realizable", "realize", str(path), "--explicit", str(10**20)],
+        capture_output=True,
+        text=True,
+        timeout=2,  # an answer within 2 s, or the test fails
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=limit_memory,
+    )
+    assert_bounded_refusal(proc.returncode, proc.stdout, proc.stderr)
+    assert proc.stderr == f"error: cycle type needs {10**19} points, more than a list can hold\n"
 
 
 def test_sample_writes_a_long_table_length_by_its_digits(tmp_path, capsys, monkeypatch):

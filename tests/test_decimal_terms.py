@@ -3,6 +3,7 @@ the kernels the command line runs on Decimals, each against the int path."""
 
 import decimal
 import json
+import sys
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -351,11 +352,15 @@ def json_reference(doc):
     return json.dumps(doc, indent=2, ensure_ascii=True) + "\n"
 
 
-scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=6))
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(max_size=6)
+)
 json_values = st.recursive(
     scalars,
     lambda inner: st.one_of(
-        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=4), inner, max_size=4)
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
     ),
     max_leaves=12,
 )
@@ -364,6 +369,25 @@ json_values = st.recursive(
 @given(st.dictionaries(st.text(max_size=6), json_values, max_size=5))
 def test_dumps_doc_equals_json_dumps(doc):
     assert dumps_doc(doc) == json_reference(doc)
+
+
+def test_dumps_doc_writes_nested_decimals_and_ints_past_the_digit_limit():
+    big = 10**5000
+    doc = {"a": {"b": Decimal(5), "c": [big, -big]}, "d": [{"e": Decimal(-7)}, [big]]}
+    as_ints = {"a": {"b": 5, "c": [big, -big]}, "d": [{"e": -7}, [big]]}
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = json_reference(as_ints)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert dumps_doc(doc) == expected
+
+
+@pytest.mark.parametrize("doc", [{1: 2}, {"a": {1: 2}}, {"a": [{None: 2}]}])
+def test_dumps_doc_refuses_a_key_that_is_not_a_str(doc):
+    with pytest.raises(TypeError):
+        dumps_doc(doc)
 
 
 def test_dumps_doc_equals_json_dumps_on_every_document_kind():
